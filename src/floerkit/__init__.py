@@ -56,15 +56,12 @@ from .groups import (
     quaternion_group,
     standard_test_groups,
     symmetric_group,
-    trivial_group,
 )
 from .quilt import (
     QuiltDiagram,
     QuiltSurface,
-    end_cyclic_morphism,
     quilt_evaluate,
     quilt_glue,
-    quilt_validate,
     shrink_strip,
     string_diagram,
 )
@@ -91,7 +88,6 @@ from .repvar import (
 from .words import (
     SurfaceAutomorphism,
     Word,
-    automorphism_compose,
     builtin_library,
     crossing_transport,
     dehn_twist_a,
@@ -102,9 +98,7 @@ from .words import (
     s_move,
     surface_relator,
     surface_words_equal,
-    t_move,
     word_eval,
-    word_reduce_free,
 )
 
 __version__ = "0.1.0"

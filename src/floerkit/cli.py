@@ -24,7 +24,7 @@ from .fieldfun import (
 )
 from .groups import group_from_json
 from .parallel import effective_workers
-from .quilt import export_dot, quilt_evaluate, quilt_glue, quilt_validate, shrink_strip
+from .quilt import export_dot, quilt_evaluate, quilt_glue, shrink_strip
 from .relcat import CyclicChain, generator_set, geometric_compose, is_embedded
 from .repvar import VarietyCache, repvariety
 from .bordobjects import surface
@@ -37,7 +37,6 @@ class RunConfig:
     workers: int = 1
     budget: int = DEFAULT_BUDGET
     depth: int = 4
-    genera: tuple = (1, 2)
 
     def __post_init__(self):
         if self.budget <= 0:
@@ -252,7 +251,7 @@ def cmd_bordism_connect(args):
 def cmd_quilt_validate(args):
     g = _load_group(args)
     q = fio.diagram_from_json(g, fio.load_json(args.diagram))
-    report = quilt_validate(q)
+    report = q.validate()
     _emit(args, fio.dumps(report))
     return 0 if all(e["status"] == "pass" for e in report) else 1
 

@@ -241,10 +241,6 @@ def quaternion_group():
     return _table_from_elements(names, compose, name="Q8")
 
 
-def trivial_group():
-    return FiniteGroup([[0]], name="1")
-
-
 def standard_test_groups():
     """The default group list used by Cerf-compatibility checks."""
     return [cyclic_group(2), cyclic_group(3), cyclic_group(4),

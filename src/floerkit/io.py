@@ -85,10 +85,6 @@ def variety_from_json(group, data):
     return RepVariety(group, obj, points)
 
 
-def relation_to_json(rel: FiniteRelation):
-    return rel.to_json()
-
-
 def relation_from_json(group, data):
     src = variety_from_json(group, data["source"])
     dst = variety_from_json(group, data["target"])

@@ -1,8 +1,9 @@
 """Deterministic worker-pool helpers.
 
-Work is split into an ordered chunk list; each worker returns a locally
-sorted result and the merge is a sorted union, so output never depends on
-the worker count.  Worker count 1 bypasses multiprocessing entirely.
+Work is split into an ordered chunk list and results come back in chunk
+order; a caller that merges locally sorted results as a sorted union gets
+output that never depends on the worker count.  Worker count 1 bypasses
+multiprocessing entirely.
 """
 
 from __future__ import annotations
@@ -33,10 +34,3 @@ def run_chunks(fn, chunks, workers):
     ctx = get_context("fork")
     with ctx.Pool(min(workers, len(chunks))) as pool:
         return pool.map(fn, chunks)
-
-
-def merge_sorted_sets(parts):
-    out = set()
-    for p in parts:
-        out.update(p)
-    return tuple(sorted(out))

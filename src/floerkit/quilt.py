@@ -405,14 +405,6 @@ def _unit_label(obj):
     return GenericMorphism(f"1_{obj}", obj, obj)
 
 
-def quilt_validate(q: QuiltDiagram):
-    return q.validate()
-
-
-def end_cyclic_morphism(q: QuiltDiagram, e):
-    return q.end_cyclic_chain(e)
-
-
 # -- evaluation ----------------------------------------------------------------
 
 

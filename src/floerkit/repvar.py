@@ -10,7 +10,9 @@ as finite relations between varieties.
 Enumeration uses the commutator-fiber factorization of the relator
 constraint: solutions of [A_1,B_1]...[A_g,B_g] = e are assembled from the
 precomputed fibers {(A,B) : [A,B] = c}, which keeps genus-2 varieties over
-groups of order ~24 at desk scale.
+groups of order ~24 at desk scale.  ``enumerate_relator_solutions`` is the
+one enumeration kernel: the variety canonicalises it slice by slice of the
+first handle pair, and the 2-handle relation reads the slice A_1 = e.
 """
 
 from __future__ import annotations
@@ -41,52 +43,58 @@ def satisfies_relator(group, tup):
     return eval_word(surface_relator(genus), tup, group) == 0
 
 
-def _commutator_fibers(group):
-    """fibers[c] = sorted list of pairs (a, b) with a b a^-1 b^-1 = c."""
-    fibers = {}
-    for a in range(group.order):
-        for b in range(group.order):
-            fibers.setdefault(group.commutator(a, b), []).append((a, b))
-    return fibers
-
-
-def enumerate_relator_solutions(group, genus, budget=None):
-    """All tuples in G^{2g} satisfying the surface relator (no quotient).
-
-    Yields tuples (A_1, B_1, ..., A_g, B_g) in lexicographic order of the
-    handle pairs.
-    """
-    if genus == 0:
-        yield ()
-        return
+def _check_budget(group, genus, budget):
+    """Refuse a tuple space G^{2g} larger than the budget."""
     if budget is not None and group.order ** (2 * genus) > budget:
         raise ResourceLimit(
             f"|G|^(2g) = {group.order ** (2 * genus)} exceeds budget {budget}",
             witness={"order": group.order, "genus": genus, "budget": budget},
         )
-    fibers = _commutator_fibers(group)
+
+
+def first_handle_entries(group):
+    """Entries ((a, b), [a, b]) for every pair, in lexicographic order."""
+    n = group.order
+    return [((a, b), group.commutator(a, b)) for a in range(n) for b in range(n)]
+
+
+def enumerate_relator_solutions(group, genus, budget=None, first=None):
+    """All tuples in G^{2g} satisfying the surface relator (no quotient).
+
+    ``first`` lists the first-handle entries ((A_1, B_1), [A_1, B_1]) to
+    expand, in sorted order; the default is ``first_handle_entries(group)``.
+    Tuples (A_1, B_1, ..., A_g, B_g) come grouped by first handle in the
+    order of ``first``, so the outputs of consecutive slices of the entries
+    concatenate to the full output; at genus <= 2 it is in lexicographic
+    order.
+    """
+    if genus == 0:
+        yield ()
+        return
+    _check_budget(group, genus, budget)
+    entries = first_handle_entries(group)
+    fibers = {}  # fibers[c] = sorted list of pairs (a, b) with [a, b] = c
+    for pair, c in entries:
+        fibers.setdefault(c, []).append(pair)
     inv = group.inv
     mul = group.mul
 
     def rec(prefix, acc, handles_left):
-        if handles_left == 1:
+        if handles_left == 0:
+            if acc == 0:
+                yield prefix
+        elif handles_left == 1:
             # last handle must realize acc^-1
             for pair in fibers.get(int(inv[acc]), ()):
                 yield prefix + pair
-            return
-        for c, pairs in fibers.items():
-            nxt = int(mul[acc, c])
-            for pair in pairs:
-                yield from rec(prefix + pair, nxt, handles_left - 1)
+        else:
+            for c, pairs in fibers.items():
+                nxt = int(mul[acc, c])
+                for pair in pairs:
+                    yield from rec(prefix + pair, nxt, handles_left - 1)
 
-    if genus == 1:
-        for pair in sorted(fibers.get(0, ())):
-            yield pair
-    else:
-        # keep lexicographic order of the first handle pair
-        order0 = sorted((pair, c) for c, pairs in fibers.items() for pair in pairs)
-        for pair, c in order0:
-            yield from rec(pair, c, genus - 1)
+    for pair, c in entries if first is None else first:
+        yield from rec(pair, c, genus - 1)
 
 
 @dataclass(frozen=True)
@@ -129,73 +137,37 @@ class RepVariety:
 _POOL_STATE = {}
 
 
-def _variety_chunk(args):
-    group, genus, first_pairs = _POOL_STATE["job"]
-    lo, hi = args
-    fibers = _commutator_fibers(group)
-    inv = group.inv
-    mul = group.mul
-    seen = set()
-
-    def rec(prefix, acc, handles_left):
-        if handles_left == 1:
-            for pair in fibers.get(int(inv[acc]), ()):
-                seen.add(canonical_point(group, prefix + pair))
-            return
-        for c, pairs in fibers.items():
-            nxt = int(mul[acc, c])
-            for pair in pairs:
-                rec(prefix + pair, nxt, handles_left - 1)
-
-    for pair, c in first_pairs[lo:hi]:
-        if genus == 1:
-            if c == 0:
-                seen.add(canonical_point(group, pair))
-        else:
-            rec(pair, c, genus - 1)
-    return sorted(seen)
+def _variety_chunk(first):
+    group, genus = _POOL_STATE["job"]
+    return sorted(
+        {canonical_point(group, tup)
+         for tup in enumerate_relator_solutions(group, genus, first=first)}
+    )
 
 
 def repvariety(group, obj, budget=None, workers=1):
     """Enumerate the representation variety of a bordism object.
 
-    With workers > 1 the tuple space is partitioned over the first handle
-    pair; locally sorted batches are merged, so output order is identical
-    for every worker count.
+    The first-handle entries are cut into about 4 * workers slices; each
+    slice is one chunk of ``run_chunks`` (inline for one worker, in forked
+    workers otherwise) that returns its sorted canonical points.  The
+    variety is the sorted union, so output order is identical for every
+    worker count.  The budget is checked here, before any fork.
     """
-    from .parallel import merge_sorted_sets, run_chunks
+    from .parallel import run_chunks
 
     if not obj.is_surface or obj.genus == 0:
         return RepVariety(group, obj, ((),))
-    genus = obj.genus
-    if budget is not None and group.order ** (2 * genus) > budget:
-        raise ResourceLimit(
-            f"|G|^(2g) = {group.order ** (2 * genus)} exceeds budget {budget}",
-            witness={"order": group.order, "genus": genus, "budget": budget},
-        )
-    if workers <= 1:
-        seen = set()
-        for tup in enumerate_relator_solutions(group, genus):
-            seen.add(canonical_point(group, tup))
-        return RepVariety(group, obj, tuple(sorted(seen)))
-
-    fibers = _commutator_fibers(group)
-    first_pairs = sorted(
-        (pair, c) for c, pairs in fibers.items() for pair in pairs
-    )
-    n_chunks = min(len(first_pairs), max(workers * 4, 1))
-    bounds = []
-    step = max(1, len(first_pairs) // n_chunks)
-    at = 0
-    while at < len(first_pairs):
-        bounds.append((at, min(at + step, len(first_pairs))))
-        at += step
-    _POOL_STATE["job"] = (group, genus, first_pairs)
+    _check_budget(group, obj.genus, budget)
+    entries = first_handle_entries(group)
+    step = max(1, len(entries) // (4 * max(1, workers)))
+    chunks = [entries[at:at + step] for at in range(0, len(entries), step)]
+    _POOL_STATE["job"] = (group, obj.genus)
     try:
-        parts = run_chunks(_variety_chunk, bounds, workers)
+        parts = run_chunks(_variety_chunk, chunks, workers)
     finally:
         _POOL_STATE.pop("job", None)
-    return RepVariety(group, obj, merge_sorted_sets(parts))
+    return RepVariety(group, obj, tuple(sorted(set().union(*parts))))
 
 
 @dataclass(frozen=True)
@@ -325,9 +297,10 @@ def relation_of_attach2(group, circle, cache=None):
     src = cache.variety(surface(g))
     dst = cache.variety(surface(g - 1))
     pairs = set()
-    for sigma in enumerate_relator_solutions(group, g, budget=cache.budget):
-        if sigma[0] != 0:  # sigma(a_1) = identity
-            continue
+    a1_is_e = [((0, b), 0) for b in range(group.order)]  # [e, b] = e
+    for sigma in enumerate_relator_solutions(
+        group, g, budget=cache.budget, first=a1_is_e
+    ):
         source_tup = tuple(eval_word(w, sigma, group) for w in psi.inverse_images)
         target_tup = sigma[2:]
         pairs.add(

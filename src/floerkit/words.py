@@ -141,10 +141,6 @@ class Word:
         return abelianization(self.letters, 2 * self.genus)
 
 
-def word_reduce_free(w: Word) -> Word:
-    return Word(reduce_word(w.letters), w.genus)
-
-
 def word_eval(w, assignment, group):
     """Evaluate a surface word; assignment has one element per generator."""
     genus = w.genus if isinstance(w, Word) else None
@@ -388,12 +384,6 @@ def validate_automorphism(phi, cross_check_group=None):
             )
 
 
-def automorphism_compose(phi, psi):
-    """Apply phi first, then psi (so the induced maps satisfy
-    L_phi o L_psi = L_{psi o phi} contravariantly)."""
-    return phi.then(psi)
-
-
 # -- the built-in mapping class library -------------------------------------
 
 def identity_automorphism(genus):
@@ -533,11 +523,6 @@ def dehn_twist_b(genus, handle=1, power=1):
     return SurfaceAutomorphism(
         genus, tuple(imgs), tuple(invs), name=f"Tb{handle}^{power}_{genus}"
     )
-
-
-def t_move(genus=1):
-    """Alias for the standard torus twist a -> a, b -> b a."""
-    return dehn_twist_a(genus, 1, 1)
 
 
 def builtin_library(genus):

@@ -25,7 +25,6 @@ from floerkit.quilt import (
     object_cylinder_diagram,
     quilt_evaluate,
     quilt_glue,
-    quilt_validate,
     shrink_strip,
     snake_frame_diagram,
     string_diagram,
@@ -61,7 +60,7 @@ def rels():
 def test_sphere_no_seams_validates(rels):
     surf = QuiltSurface({"out": ()}, "out", {})
     q = QuiltDiagram(surf, {"f0": rels["cache"].variety(surface(1))}, {})
-    report = quilt_validate(q)
+    report = q.validate()
     assert all(e["status"] == "pass" for e in report)
     # the end's cyclic morphism is the weak unit (diagonal)
     chain = q.end_cyclic_chain("out")

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from floerkit.bordism import AttachingCircle, b_circle, canonical_circle, cyl, CAP0, CAP3, attach1, attach2
+from floerkit import parallel
 from floerkit.bordobjects import EMPTY, surface
 from floerkit.errors import ResourceLimit
 from floerkit.groups import cyclic_group, quaternion_group, symmetric_group
@@ -12,6 +13,7 @@ from floerkit.repvar import (
     canonical_point,
     diagonal_relation,
     enumerate_relator_solutions,
+    first_handle_entries,
     relation_of_attach2,
     relation_of_attach2_direct,
     relation_of_cyl,
@@ -63,13 +65,25 @@ def test_empty_and_sphere_are_points():
 
 def test_relator_solution_enumeration_matches_brute_force():
     for group, genus in [(Z2, 1), (Z3, 1), (S3, 1), (Z2, 2), (S3, 2)]:
-        ours = sorted(enumerate_relator_solutions(group, genus))
-        brute = sorted(
+        # unsorted: the enumeration itself is in lexicographic order
+        ours = list(enumerate_relator_solutions(group, genus))
+        brute = [
             tup
             for tup in itertools.product(range(group.order), repeat=2 * genus)
             if satisfies_relator(group, tup)
-        )
+        ]
         assert ours == brute
+        # consecutive slices of the first-handle entries cover it in order
+        entries = first_handle_entries(group)
+        for n_slices in (1, 2, 5):
+            cuts = [len(entries) * i // n_slices for i in range(n_slices + 1)]
+            pieces = [entries[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+            joined = [
+                tup
+                for piece in pieces
+                for tup in enumerate_relator_solutions(group, genus, first=piece)
+            ]
+            assert joined == ours
 
 
 def test_s3_torus_has_eight_points():
@@ -103,9 +117,18 @@ def test_canonical_point_properties():
         assert canon == min(orbit)
 
 
-def test_budget_enforced():
+def test_budget_enforced(monkeypatch):
     with pytest.raises(ResourceLimit):
         repvariety(S3, surface(3), budget=100)
+
+    # with workers the check runs in the parent, before any chunk is run
+    def no_chunks(*args):
+        raise AssertionError("chunks started before the budget check")
+
+    monkeypatch.setattr(parallel, "run_chunks", no_chunks)
+    with pytest.raises(ResourceLimit) as err:
+        repvariety(S3, surface(3), budget=100, workers=2)
+    assert err.value.witness == {"order": 6, "genus": 3, "budget": 100}
 
 
 def test_cyl_identity_is_diagonal():

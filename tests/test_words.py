@@ -8,7 +8,6 @@ from floerkit.words import (
     SurfaceAutomorphism,
     Word,
     abelianization,
-    automorphism_compose,
     builtin_library,
     concat,
     dehn_twist_a,
@@ -26,7 +25,6 @@ from floerkit.words import (
     surface_words_equal,
     validate_automorphism,
     word_eval,
-    word_reduce_free,
 )
 
 A1, B1, A2, B2 = 1, 2, 3, 4
@@ -56,7 +54,7 @@ def test_word_type_validates_alphabet():
     assert w.letters == (B1,)
     with pytest.raises(GenusMismatch):
         Word((A2,), genus=1)
-    assert word_reduce_free(Word((A1, -A1), 1)).letters == ()
+    assert Word((A1, -A1), 1).letters == ()
 
 
 def test_surface_relator_shape():
@@ -144,7 +142,7 @@ def test_identity_and_swap():
     swap = handle_swap(2, 1, 2)
     assert swap.apply((A1,)) == (A2,)
     # involution: swap o swap = id on generators after reduction
-    twice = automorphism_compose(swap, swap)
+    twice = swap.then(swap)
     assert twice.is_identity()
     assert [twice.apply((k,)) for k in range(1, 5)] == [(1,), (2,), (3,), (4,)]
 
@@ -153,17 +151,17 @@ def test_s_move_order_four():
     s = s_move(1)
     assert s.apply((A1,)) == (B1,)
     assert s.apply((B1,)) == (-A1,)
-    four = automorphism_compose(automorphism_compose(s, s), automorphism_compose(s, s))
+    four = s.then(s).then(s.then(s))
     assert four.is_identity()
-    two = automorphism_compose(s, s)
+    two = s.then(s)
     assert not two.is_identity()
 
 
 def test_compose_with_identity():
     t = dehn_twist_a(1)
     ident = identity_automorphism(1)
-    assert automorphism_compose(t, ident).same_mapping_class(t)
-    assert automorphism_compose(ident, t).same_mapping_class(t)
+    assert t.then(ident).same_mapping_class(t)
+    assert ident.then(t).same_mapping_class(t)
 
 
 def test_compose_contravariant_convention():
@@ -232,8 +230,8 @@ def test_compose_associative_via_group_action():
     s3 = symmetric_group(3)
     lib = builtin_library(1)
     for f, g, h in itertools.product(lib, repeat=3):
-        left = automorphism_compose(automorphism_compose(f, g), h)
-        right = automorphism_compose(f, automorphism_compose(g, h))
+        left = f.then(g).then(h)
+        right = f.then(g.then(h))
         assert left.hom_permutation(s3) == right.hom_permutation(s3)
 
 

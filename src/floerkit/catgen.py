@@ -201,18 +201,26 @@ def relation_bicategory(group, max_pool=64, name=None):
     ]
     pool = list(dict.fromkeys(pool))
 
+    # the closure under composition, numbered in order of discovery, with
+    # table[(i, j)] = id of closure[i] then closure[j] for every composable
+    # pair, each composed once
     closure = list(pool)
+    rel_id = {rel: i for i, rel in enumerate(closure)}
+    table = {}
     frontier = list(pool)
     while frontier:
         new = []
         for a in frontier:
             for b in closure:
                 for x, y in ((a, b), (b, a)):
-                    if x.target != y.source:
+                    key = (rel_id[x], rel_id[y])
+                    if key in table or x.target != y.source:
                         continue
                     c = geometric_compose(x, y)
-                    if c not in closure and c not in new:
+                    if c not in rel_id:
+                        rel_id[c] = len(rel_id)
                         new.append(c)
+                    table[key] = rel_id[c]
         closure.extend(new)
         frontier = new
         if len(closure) > max_pool:
@@ -220,7 +228,6 @@ def relation_bicategory(group, max_pool=64, name=None):
                 f"relation closure exceeded {max_pool}", witness=len(closure)
             )
 
-    rel_id = {rel: i for i, rel in enumerate(closure)}
     pool_ids = {rel_id[r] for r in pool}
 
     def obj_of(variety):
@@ -238,10 +245,10 @@ def relation_bicategory(group, max_pool=64, name=None):
         one[ch] = (obj_of(closure[ch[0]].source), obj_of(closure[ch[-1]].target))
 
     def complete_chain(z):
-        acc = closure[z[0]]
+        acc = z[0]
         for i in z[1:]:
-            acc = geometric_compose(acc, closure[i])
-        return rel_id[acc]
+            acc = table[(acc, i)]
+        return acc
 
     comp_of = {ch: complete_chain(ch) for ch in chains}
 

@@ -51,37 +51,32 @@ class FinCategory:
             )
         return self.comp[(f, g)]
 
-    def hom(self, x, y):
-        return tuple(
-            f for f, (s, d) in sorted(self.morphisms.items(), key=lambda kv: repr(kv))
-            if s == x and d == y
-        )
-
     def validate(self):
         objset = set(self.objects)
         if len(self.objects) != len(objset):
             raise CategoryMismatch("duplicate object ids")
-        for f, (s, d) in self.morphisms.items():
+        mor, comp = self.morphisms, self.comp
+        # starting[x]: the (g, dst g) with src g == x, in morphisms order, so
+        # the law loops below visit only composable pairs and triples, in the
+        # order of a scan over all of them
+        starting = {x: [] for x in self.objects}
+        for f, (s, d) in mor.items():
             if s not in objset or d not in objset:
                 raise CategoryMismatch(
                     f"morphism {f!r} has endpoints outside the object set",
                     witness=f,
                 )
+            starting[s].append((f, d))
         for x in self.objects:
             i = self.identity.get(x)
-            if i not in self.morphisms or self.morphisms[i] != (x, x):
+            if i not in mor or mor[i] != (x, x):
                 raise CategoryMismatch(
                     f"identity of {x!r} missing or not an endomorphism", witness=x
                 )
-        composable = {
-            (f, g)
-            for f in self.morphisms
-            for g in self.morphisms
-            if self.dst(f) == self.src(g)
-        }
-        if set(self.comp) != composable:
-            extra = set(self.comp) - composable
-            missing = composable - set(self.comp)
+        composable = {(f, g) for f, (_, d) in mor.items() for g, _ in starting[d]}
+        if set(comp) != composable:
+            extra = set(comp) - composable
+            missing = composable - set(comp)
             raise CategoryMismatch(
                 "composition table domain mismatch",
                 witness={
@@ -89,31 +84,27 @@ class FinCategory:
                     "missing": sorted(missing, key=repr)[:3],
                 },
             )
-        for (f, g), h in self.comp.items():
-            if h not in self.morphisms:
+        for (f, g), h in comp.items():
+            if h not in mor:
                 raise CategoryMismatch(f"composite {h!r} not a morphism", witness=(f, g))
-            if self.morphisms[h] != (self.src(f), self.dst(g)):
+            if mor[h] != (mor[f][0], mor[g][1]):
                 raise CategoryMismatch(
                     f"composite of {f!r}, {g!r} has wrong endpoints", witness=(f, g, h)
                 )
-        for f, (s, d) in self.morphisms.items():
-            if self.comp[(self.identity[s], f)] != f:
+        for f, (s, d) in mor.items():
+            if comp[(self.identity[s], f)] != f:
                 raise CategoryMismatch(
                     f"left identity law fails at {f!r}", witness=("left", f)
                 )
-            if self.comp[(f, self.identity[d])] != f:
+            if comp[(f, self.identity[d])] != f:
                 raise CategoryMismatch(
                     f"right identity law fails at {f!r}", witness=("right", f)
                 )
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.dst(f) != self.src(g):
-                    continue
-                fg = self.comp[(f, g)]
-                for h in self.morphisms:
-                    if self.dst(g) != self.src(h):
-                        continue
-                    if self.comp[(fg, h)] != self.comp[(f, self.comp[(g, h)])]:
+        for f, (_, df) in mor.items():
+            for g, dg in starting[df]:
+                fg = comp[(f, g)]
+                for h, _ in starting[dg]:
+                    if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
                         raise CategoryMismatch(
                             "associativity fails", witness=(f, g, h)
                         )
@@ -339,11 +330,13 @@ def nat_horizontal_compose(eta01: NatTransformation, eta12: NatTransformation):
 def all_functors(C, D, limit=None):
     """Backtracking enumeration of all functors C -> D."""
     objs = list(C.objects)
+    mor_items = sorted(C.morphisms.items(), key=repr)
+    by_ends = {}
+    for g, (gs, gd) in sorted(D.morphisms.items(), key=repr):
+        by_ends.setdefault((gs, gd), []).append(g)
     out = []
 
     def assign_mors(obj_map):
-        mor_items = sorted(C.morphisms.items(), key=repr)
-
         def rec(i, mor_map):
             if limit is not None and len(out) >= limit:
                 return
@@ -357,9 +350,7 @@ def all_functors(C, D, limit=None):
             if f == C.identity[s] and s == d:
                 rec(i + 1, {**mor_map, f: D.identity[obj_map[s]]})
                 return
-            for g, (gs, gd) in sorted(D.morphisms.items(), key=repr):
-                if (gs, gd) != (obj_map[s], obj_map[d]):
-                    continue
+            for g in by_ends.get((obj_map[s], obj_map[d]), ()):
                 mor_map[f] = g
                 # partial composition check against already assigned
                 ok = True
@@ -385,6 +376,12 @@ def all_nats(F, G):
     """All natural transformations F => G by componentwise backtracking."""
     C, D = F.source, F.target
     objs = sorted(C.objects, key=repr)
+    d_mors = sorted(D.morphisms.items(), key=repr)
+    # candidates[i]: the morphisms F(x) -> G(x) for x = objs[i], in repr order
+    candidates = [
+        [m for m, (s, d) in d_mors if (s, d) == (F.obj_map[x], G.obj_map[x])]
+        for x in objs
+    ]
     out = []
 
     def rec(i, comps):
@@ -394,10 +391,8 @@ def all_nats(F, G):
             except CategoryMismatch:
                 pass
             return
-        x = objs[i]
-        for m, (s, d) in sorted(D.morphisms.items(), key=repr):
-            if (s, d) == (F.obj_map[x], G.obj_map[x]):
-                rec(i + 1, {**comps, x: m})
+        for m in candidates[i]:
+            rec(i + 1, {**comps, objs[i]: m})
 
     rec(0, {})
     return out
@@ -485,33 +480,26 @@ class FinBicategory:
             i = self.id2.get(f)
             if i not in self.two or self.two[i] != (f, f):
                 raise CategoryMismatch(f"missing identity 2-cell at {f!r}", witness=f)
-        composable = {
-            (a, b)
-            for a in self.two
-            for b in self.two
-            if self.two[a][1] == self.two[b][0]
-        }
-        if set(self.vcomp) != composable:
+        starting, leaving, _ = self._by_source()
+        two, vcomp = self.two, self.vcomp
+        composable = {(a, b) for a, (_, g) in two.items() for b, _ in leaving[g]}
+        if set(vcomp) != composable:
             raise CategoryMismatch("vertical composition domain mismatch")
-        for (a, b), c in self.vcomp.items():
-            if self.two[c] != (self.two[a][0], self.two[b][1]):
+        for (a, b), c in vcomp.items():
+            if two[c] != (two[a][0], two[b][1]):
                 raise CategoryMismatch(
                     "vertical composite mistyped", witness=(a, b)
                 )
-        for a, (f, g) in self.two.items():
-            if self.vcomp[(self.id2[f], a)] != a or self.vcomp[(a, self.id2[g])] != a:
+        for a, (f, g) in two.items():
+            if vcomp[(self.id2[f], a)] != a or vcomp[(a, self.id2[g])] != a:
                 raise CategoryMismatch(
                     f"vertical identity law fails at {a!r}", witness=a
                 )
-        for a in self.two:
-            for b in self.two:
-                if self.two[a][1] != self.two[b][0]:
-                    continue
-                ab = self.vcomp[(a, b)]
-                for c in self.two:
-                    if self.two[b][1] != self.two[c][0]:
-                        continue
-                    if self.vcomp[(ab, c)] != self.vcomp[(a, self.vcomp[(b, c)])]:
+        for a, (_, ga) in two.items():
+            for b, gb in leaving[ga]:
+                ab = vcomp[(a, b)]
+                for c, _ in leaving[gb]:
+                    if vcomp[(ab, c)] != vcomp[(a, vcomp[(b, c)])]:
                         raise CategoryMismatch(
                             "vertical associativity fails", witness=(a, b, c)
                         )
@@ -522,10 +510,7 @@ class FinBicategory:
                     f"weak unit of {x!r} missing or mistyped", witness=x
                 )
         composable1 = {
-            (f, g)
-            for f in self.one
-            for g in self.one
-            if self.one[f][1] == self.one[g][0]
+            (f, g) for f, (_, d) in self.one.items() for g, _ in starting[d]
         }
         if set(self.hcomp1) != composable1:
             raise CategoryMismatch("horizontal 1-composition domain mismatch")
@@ -534,6 +519,25 @@ class FinBicategory:
                 raise CategoryMismatch(
                     "horizontal composite mistyped", witness=(f, g)
                 )
+
+    def _by_source(self):
+        """Cells indexed by where they start, each list in table order.
+
+        starting[x] holds the (f, dst f) of the 1-cells leaving object x,
+        leaving[f] the (a, dst a) of the 2-cells leaving 1-cell f, and
+        two_from[x] the 2-cells between 1-cells leaving x.  A loop over them
+        visits exactly the composable pairs of a scan over all pairs, in the
+        same order, so the first failure found (the witness) is the same.
+        """
+        starting = {x: [] for x in self.objects}
+        two_from = {x: [] for x in self.objects}
+        for f, (s, d) in self.one.items():
+            starting[s].append((f, d))
+        leaving = {f: [] for f in self.one}
+        for a, (f, g) in self.two.items():
+            leaving[f].append((a, g))
+            two_from[self.one[f][0]].append(a)
+        return starting, leaving, two_from
 
     def two_isomorphic(self, f, g):
         """f ~ g via invertible vertical pairs."""
@@ -561,56 +565,44 @@ class FinBicategory:
             raise CategoryMismatch(
                 "structure has no horizontal 2-composition", witness=self.name
             )
-        for a in self.two:
-            for b in self.two:
-                fa, ga = self.two[a]
-                fb, gb = self.two[b]
-                if self.one[fa][1] != self.one[fb][0]:
-                    continue
-                ab = self.hcomp2[(a, b)]
-                if self.two[ab] != (self.hcomp1[(fa, fb)], self.hcomp1[(ga, gb)]):
+        starting, leaving, two_from = self._by_source()
+        one, two = self.one, self.two
+        vcomp, hcomp1, hcomp2 = self.vcomp, self.hcomp1, self.hcomp2
+        for a, (fa, ga) in two.items():
+            for b in two_from[one[fa][1]]:
+                fb, gb = two[b]
+                if two[hcomp2[(a, b)]] != (hcomp1[(fa, fb)], hcomp1[(ga, gb)]):
                     raise CategoryMismatch(
                         "horizontal 2-composite mistyped", witness=(a, b)
                     )
-        for f in self.one:
-            for g in self.one:
-                if self.one[f][1] != self.one[g][0]:
-                    continue
-                lhs = self.hcomp2[(self.id2[f], self.id2[g])]
-                if lhs != self.id2[self.hcomp1[(f, g)]]:
+        for f, (_, d) in one.items():
+            for g, _ in starting[d]:
+                lhs = hcomp2[(self.id2[f], self.id2[g])]
+                if lhs != self.id2[hcomp1[(f, g)]]:
                     raise CategoryMismatch(
                         "identity 2-cells not compatible with horizontal "
                         "composition",
                         witness=(f, g),
                     )
         # interchange on all composable 2x2 grids
-        for a in self.two:
-            for b in self.two:
-                if self.two[a][1] != self.two[b][0]:
-                    continue
-                for c in self.two:
-                    if self.one[self.two[a][0]][1] != self.one[self.two[c][0]][0]:
-                        continue
-                    for d in self.two:
-                        if self.two[c][1] != self.two[d][0]:
-                            continue
-                        lhs = self.hcomp2[(self.vcomp[(a, b)], self.vcomp[(c, d)])]
-                        rhs = self.vcomp[
-                            (self.hcomp2[(a, c)], self.hcomp2[(b, d)])
-                        ]
+        for a, (fa, ga) in two.items():
+            for b, _ in leaving[ga]:
+                ab = vcomp[(a, b)]
+                for c in two_from[one[fa][1]]:
+                    ac = hcomp2[(a, c)]
+                    for d, _ in leaving[two[c][1]]:
+                        lhs = hcomp2[(ab, vcomp[(c, d)])]
+                        rhs = vcomp[(ac, hcomp2[(b, d)])]
                         if lhs != rhs:
                             raise CategoryMismatch(
                                 "interchange law fails", witness=(a, b, c, d)
                             )
-        for f in self.one:
-            for g in self.one:
-                if self.one[f][1] != self.one[g][0]:
-                    continue
-                for h in self.one:
-                    if self.one[g][1] != self.one[h][0]:
-                        continue
-                    left = self.hcomp1[(self.hcomp1[(f, g)], h)]
-                    right = self.hcomp1[(f, self.hcomp1[(g, h)])]
+        for f, (_, df) in one.items():
+            for g, dg in starting[df]:
+                fg = hcomp1[(f, g)]
+                for h, _ in starting[dg]:
+                    left = hcomp1[(fg, h)]
+                    right = hcomp1[(f, hcomp1[(g, h)])]
                     if not self.two_isomorphic(left, right):
                         raise CategoryMismatch(
                             "horizontal associativity fails up to 2-isomorphism",
@@ -633,11 +625,8 @@ class FinBicategory:
         onemors = tuple(
             f for f, (s, d) in sorted(self.one.items(), key=repr) if (s, d) == (x, y)
         )
-        twomors = {
-            a: pair
-            for a, pair in self.two.items()
-            if pair[0] in set(onemors)
-        }
+        oneset = set(onemors)
+        twomors = {a: pair for a, pair in self.two.items() if pair[0] in oneset}
         comp = {
             (a, b): c
             for (a, b), c in self.vcomp.items()

@@ -61,7 +61,78 @@ def test_category_validation_catches_broken_associativity():
     comp[("b", "b")] = "a"
     with pytest.raises(CategoryMismatch) as err:
         FinCategory((0,), mor, comp, {0: "e"})
-    assert "associativity" in str(err.value) or "identity" in str(err.value)
+    assert str(err.value) == "associativity fails"
+    assert err.value.witness == ("a", "a", "a")
+
+
+def first_associativity_failure(morphisms, comp):
+    """Brute force: scan all m^3 triples in table order, return the first
+    composable (f, g, h) with (fg)h != f(gh), or None."""
+    for f, (_, df) in morphisms.items():
+        for g, (sg, dg) in morphisms.items():
+            if df != sg:
+                continue
+            for h, (sh, _) in morphisms.items():
+                if dg != sh:
+                    continue
+                if comp[(comp[(f, g)], h)] != comp[(f, comp[(g, h)])]:
+                    return (f, g, h)
+    return None
+
+
+def corrupted_tables(cat, rng, tries):
+    """Copies of cat.comp with one composite of two non-identity morphisms
+    replaced by another morphism with the same endpoints, so the domain,
+    the typing and the identity laws still hold."""
+    identities = set(cat.identity.values())
+    pairs = [
+        (f, g) for (f, g) in cat.comp if f not in identities and g not in identities
+    ]
+    for _ in range(tries):
+        if not pairs:
+            return
+        f, g = pairs[int(rng.integers(len(pairs)))]
+        h = cat.comp[(f, g)]
+        others = [
+            m for m, ends in cat.morphisms.items()
+            if ends == cat.morphisms[h] and m != h
+        ]
+        if others:
+            comp = dict(cat.comp)
+            comp[(f, g)] = others[int(rng.integers(len(others)))]
+            yield comp
+
+
+def check_against_brute_force(cat, comp):
+    expected = first_associativity_failure(cat.morphisms, comp)
+    if expected is None:
+        FinCategory(cat.objects, cat.morphisms, comp, cat.identity)
+        return False
+    with pytest.raises(CategoryMismatch) as err:
+        FinCategory(cat.objects, cat.morphisms, comp, cat.identity)
+    assert str(err.value) == "associativity fails"
+    assert err.value.witness == expected
+    return True
+
+
+def test_associativity_check_matches_brute_force():
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    # the free category on 0 -> 1 -> 2 -> 3 with two parallel edges per step
+    # has parallel composites that longer paths factor through, so a
+    # relabelling can break associativity across several objects (in the
+    # random multi-object categories it never does)
+    parallel = path_category(
+        (0, 1, 2, 3), [(i, i + 1, t) for i in range(3) for t in "ab"]
+    )
+    outcomes = set()
+    for cat in [random_category(seed) for seed in range(30)] + [parallel]:
+        for comp in corrupted_tables(cat, rng, 5):
+            raised = check_against_brute_force(cat, comp)
+            outcomes.add((len(cat.objects) > 1, raised))
+    # (several objects?, raised?): every combination occurs
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_functor_validation():
@@ -218,6 +289,71 @@ def test_quotient_identifies_isomorphic_pair():
     assert q.class_of["f"] == q.class_of["g"]
 
 
+def strict_two_category(vcomp_edits=(), hcomp2_edits=()):
+    """One object, 1-cells f0, f1 composing as Z2, and 2-cells a{f}{m}:
+    f => f for m in Z3, composing as Z3 both ways; the edits overwrite
+    table entries, (pair, value) each."""
+    from floerkit.cats import FinBicategory
+
+    one = {f"f{f}": ("x", "x") for f in range(2)}
+    two = {f"a{f}{m}": (f"f{f}", f"f{f}") for f in range(2) for m in range(3)}
+    vcomp = {
+        (f"a{f}{m}", f"a{f}{n}"): f"a{f}{(m + n) % 3}"
+        for f in range(2) for m in range(3) for n in range(3)
+    }
+    hcomp1 = {(f"f{f}", f"f{g}"): f"f{(f + g) % 2}" for f in range(2) for g in range(2)}
+    hcomp2 = {
+        (a, b): f"a{(int(a[1]) + int(b[1])) % 2}{(int(a[2]) + int(b[2])) % 3}"
+        for a in two for b in two
+    }
+    vcomp.update(vcomp_edits)
+    hcomp2.update(hcomp2_edits)
+    id2 = {f: f"a{f[1]}0" for f in one}
+    return FinBicategory(
+        ("x",), one, two, vcomp, id2, hcomp1, hcomp2, {"x": "f0"}, name="strict"
+    )
+
+
+def test_bicategory_vertical_associativity_failure():
+    strict_two_category().validate_bicategory()
+    # a01.a01 := a00 keeps the typing and the unit laws but not associativity:
+    # (a01.a01).a02 = a02 while a01.(a01.a02) = a01.a00 = a01
+    with pytest.raises(CategoryMismatch) as err:
+        strict_two_category(vcomp_edits={("a01", "a01"): "a00"})
+    assert str(err.value) == "vertical associativity fails"
+    assert err.value.witness == ("a01", "a01", "a02")
+
+
+def test_interchange_check_matches_brute_force():
+    def first_interchange_failure(B):
+        # all 2-cells have one object at both ends: every 2x2 grid of
+        # vertically composable pairs is horizontally composable
+        for a, b, c, d in itertools.product(B.two, repeat=4):
+            if B.two[a][1] != B.two[b][0] or B.two[c][1] != B.two[d][0]:
+                continue
+            lhs = B.hcomp2[(B.vcomp[(a, b)], B.vcomp[(c, d)])]
+            if lhs != B.vcomp[(B.hcomp2[(a, c)], B.hcomp2[(b, d)])]:
+                return (a, b, c, d)
+        return None
+
+    witnesses = set()
+    # relabel one entry of hcomp2, keeping its typing; a is not an identity,
+    # so the identity 2-cells stay compatible with horizontal composition
+    for a in ("a01", "a02", "a11", "a12"):
+        for b in ("a00", "a02", "a10", "a11"):
+            value = strict_two_category().hcomp2[(a, b)]
+            for m in {0, 1, 2} - {int(value[2])}:
+                B = strict_two_category(hcomp2_edits={(a, b): value[:2] + str(m)})
+                expected = first_interchange_failure(B)
+                assert expected is not None
+                with pytest.raises(CategoryMismatch) as err:
+                    B.validate_bicategory()
+                assert str(err.value) == "interchange law fails"
+                assert err.value.witness == expected
+                witnesses.add(expected)
+    assert len(witnesses) > 1
+
+
 def test_conjugacy_nonexample_raises_with_witness():
     B = conjugacy_nonexample(3)
     with pytest.raises(IllFormedQuotient) as err:
@@ -294,6 +430,36 @@ def test_relation_bicategory_quotient_composes_geometrically():
             composite = geometric_compose(rel_of[a], rel_of[b])
             member = q.class_members[comp_class][0]
             assert rel_of[B.chain_complete[member]] == composite
+
+
+@pytest.mark.parametrize(
+    "group_name, sizes",
+    [("Z2", (11, 33, 105)), ("Z3", (12, 34, 104)), ("S3", (15, 37, 107))],
+)
+def test_relation_bicategory_composites_match_geometric_composition(group_name, sizes):
+    from functools import reduce
+
+    from floerkit.groups import symmetric_group
+    from floerkit.relcat import geometric_compose
+
+    group = {"Z2": cyclic_group(2), "Z3": cyclic_group(3), "S3": symmetric_group(3)}[
+        group_name
+    ]
+    B = relation_bicategory(group)
+    assert (len(B.relation_of), len(B.one), len(B.two)) == sizes
+    rel_id = {rel: i for i, rel in B.relation_of.items()}
+    assert len(rel_id) == len(B.relation_of)
+
+    def folded(chain):
+        # the independent route: compose the relations themselves
+        return rel_id[reduce(geometric_compose, (B.relation_of[i] for i in chain))]
+
+    assert set(B.chain_complete) == set(B.one)
+    for ch, complete in B.chain_complete.items():
+        assert complete == folded(ch)
+    for (x, y), h in B.hcomp1.items():
+        assert h == x + y or h == (folded(x + y),)
+        assert folded(h) == folded(x + y)
 
 
 def test_two_isomorphism_is_equivalence_random():

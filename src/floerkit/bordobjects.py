@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidObject
+
 
 @dataclass(frozen=True)
 class BordObject:
@@ -13,9 +15,9 @@ class BordObject:
 
     def __post_init__(self):
         if self.kind not in ("empty", "surface"):
-            raise ValueError(f"unknown object kind {self.kind!r}")
+            raise InvalidObject(f"unknown object kind {self.kind!r}", witness=self.kind)
         if self.genus < 0:
-            raise ValueError("genus must be non-negative")
+            raise InvalidObject("genus must be non-negative", witness=self.genus)
 
     @property
     def is_surface(self):

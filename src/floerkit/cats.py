@@ -10,7 +10,9 @@ throughout: ``compose(f, g)`` means "f then g".
 
 from __future__ import annotations
 
+import functools
 import itertools
+from types import MappingProxyType
 
 from .errors import (
     CategoryMismatch,
@@ -50,6 +52,15 @@ class FinCategory:
                 f"morphisms {f!r}, {g!r} are not composable", witness=(f, g)
             )
         return self.comp[(f, g)]
+
+    @functools.cached_property
+    def by_ends(self):
+        """Read-only map (src, dst) -> the morphisms with those endpoints, in
+        repr order of the (id, (src, dst)) items; built on first use."""
+        out = {}
+        for f, ends in sorted(self.morphisms.items(), key=repr):
+            out.setdefault(ends, []).append(f)
+        return MappingProxyType({ends: tuple(fs) for ends, fs in out.items()})
 
     def validate(self):
         objset = set(self.objects)
@@ -146,9 +157,6 @@ class FinFunctor:
     def on_obj(self, x):
         return self.obj_map[x]
 
-    def on_mor(self, f):
-        return self.mor_map[f]
-
     def validate(self):
         C, D = self.source, self.target
         for x in C.objects:
@@ -186,12 +194,6 @@ class FinFunctor:
             name=f"{self.name};{other.name}",
         )
 
-    def table(self):
-        return (
-            tuple(sorted(self.obj_map.items(), key=repr)),
-            tuple(sorted(self.mor_map.items(), key=repr)),
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, FinFunctor)
@@ -202,7 +204,7 @@ class FinFunctor:
         )
 
     def __hash__(self):
-        return hash(self.table())
+        return hash(tuple(sorted(self.obj_map.items(), key=repr)))
 
     def __repr__(self):
         return f"FinFunctor({self.name}: {self.source.name} -> {self.target.name})"
@@ -248,9 +250,6 @@ class NatTransformation:
                     f"naturality square fails at morphism {k!r}", witness=k
                 )
 
-    def table(self):
-        return tuple(sorted(self.components.items(), key=repr))
-
     def __eq__(self, other):
         return (
             isinstance(other, NatTransformation)
@@ -260,7 +259,7 @@ class NatTransformation:
         )
 
     def __hash__(self):
-        return hash((self.F, self.G, self.table()))
+        return hash((self.F, self.G, tuple(sorted(self.components.items(), key=repr))))
 
     def __repr__(self):
         return f"Nat({self.name}: {self.F.name} => {self.G.name})"
@@ -331,9 +330,6 @@ def all_functors(C, D, limit=None):
     """Backtracking enumeration of all functors C -> D."""
     objs = list(C.objects)
     mor_items = sorted(C.morphisms.items(), key=repr)
-    by_ends = {}
-    for g, (gs, gd) in sorted(D.morphisms.items(), key=repr):
-        by_ends.setdefault((gs, gd), []).append(g)
     out = []
 
     def assign_mors(obj_map):
@@ -350,7 +346,7 @@ def all_functors(C, D, limit=None):
             if f == C.identity[s] and s == d:
                 rec(i + 1, {**mor_map, f: D.identity[obj_map[s]]})
                 return
-            for g in by_ends.get((obj_map[s], obj_map[d]), ()):
+            for g in D.by_ends.get((obj_map[s], obj_map[d]), ()):
                 mor_map[f] = g
                 # partial composition check against already assigned
                 ok = True
@@ -376,12 +372,8 @@ def all_nats(F, G):
     """All natural transformations F => G by componentwise backtracking."""
     C, D = F.source, F.target
     objs = sorted(C.objects, key=repr)
-    d_mors = sorted(D.morphisms.items(), key=repr)
     # candidates[i]: the morphisms F(x) -> G(x) for x = objs[i], in repr order
-    candidates = [
-        [m for m, (s, d) in d_mors if (s, d) == (F.obj_map[x], G.obj_map[x])]
-        for x in objs
-    ]
+    candidates = [D.by_ends.get((F.obj_map[x], G.obj_map[x]), ()) for x in objs]
     out = []
 
     def rec(i, comps):
@@ -400,31 +392,33 @@ def all_nats(F, G):
 
 def functor_category(C, D, functor_limit=None):
     """The category Fun(C, D) with functors as objects and natural
-    transformations as morphisms, built by exhaustive enumeration."""
-    functors = all_functors(C, D, limit=functor_limit)
-    fid = {i: F for i, F in enumerate(functors)}
-    rev = {F: i for i, F in fid.items()}
-    morphisms = {}
-    nat_by_id = {}
+    transformations as morphisms, built by exhaustive enumeration.
+
+    Composites and identities are looked up by their components (in
+    C.objects order) among the transformations all_nats built: a composite
+    of natural transformations is natural.  FinCategory checks every law.
+    """
+    fid = dict(enumerate(all_functors(C, D, limit=functor_limit)))
+    morphisms, nat_by_id, by_components = {}, {}, {}
+    leaving = {i: [] for i in fid}  # i -> (id, components) of the nats out of F_i
     for i, F in fid.items():
         for j, G in fid.items():
             for k, eta in enumerate(all_nats(F, G)):
-                mid = (i, j, k)
-                morphisms[mid] = (i, j)
-                nat_by_id[mid] = eta
+                components = tuple(eta.components[x] for x in C.objects)
+                morphisms[(i, j, k)] = (i, j)
+                nat_by_id[(i, j, k)] = eta
+                by_components[(i, j, components)] = (i, j, k)
+                leaving[i].append(((i, j, k), components))
     comp = {}
-    index = {}
-    for mid, eta in nat_by_id.items():
-        index[(mid[0], mid[1], eta.table())] = mid
-    for m1, eta in nat_by_id.items():
-        for m2, zeta in nat_by_id.items():
-            if m1[1] != m2[0]:
-                continue
-            composite = nat_vertical_compose(eta, zeta)
-            comp[(m1, m2)] = index[(m1[0], m2[1], composite.table())]
-    identity = {}
-    for i, F in fid.items():
-        identity[i] = index[(i, i, identity_nat(F).table())]
+    for i in fid:
+        for m1, c1 in leaving[i]:
+            for m2, c2 in leaving[m1[1]]:
+                composite = tuple(D.comp[pair] for pair in zip(c1, c2))
+                comp[(m1, m2)] = by_components[(i, m2[1], composite)]
+    identity = {
+        i: by_components[(i, i, tuple(D.identity[F.obj_map[x]] for x in C.objects))]
+        for i, F in fid.items()
+    }
     cat = FinCategory(
         tuple(fid), morphisms, comp, identity, name=f"Fun({C.name},{D.name})"
     )

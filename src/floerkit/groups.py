@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from .errors import NoIdentity, NoInverse, NonAssociative
+from .errors import FloerkitError, NoIdentity, NoInverse, NonAssociative
 
 
 class FiniteGroup:
@@ -146,7 +146,10 @@ def group_load(table, name="G"):
     it is not element 0 the table is re-indexed (a transposition of
     labels) so that the bit-exact file convention holds.
     """
-    raw = np.asarray(table, dtype=np.int64)
+    try:
+        raw = np.asarray(table, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise NoIdentity("multiplication table must hold integers") from None
     if raw.ndim == 2 and raw.shape[0] == raw.shape[1] and raw.shape[0] > 0:
         n = raw.shape[0]
         ident = next(
@@ -167,6 +170,9 @@ def group_load(table, name="G"):
 
 
 def group_from_json(data):
+    if not isinstance(data, dict) or "mul" not in data:
+        found = sorted(data) if isinstance(data, dict) else type(data).__name__
+        raise FloerkitError('a group file is a JSON object with "mul"', witness=found)
     g = group_load(data["mul"], name=data.get("name", "G"))
     if "order" in data and data["order"] != g.order:
         raise NoIdentity(

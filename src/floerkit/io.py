@@ -30,7 +30,17 @@ def dumps(data):
 
 def load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:  # JSONDecodeError, or bytes that are not text
+            raise FloerkitError(f"{path} is not valid JSON", witness=str(err)) from None
+
+
+def _auto_from_json(data):
+    """The automorphism under "auto", or the identity of "genus" without one."""
+    if data.get("auto"):
+        return automorphism_from_json(data["auto"])
+    return identity_automorphism(data["genus"])
 
 
 # -- chains -------------------------------------------------------------------
@@ -55,8 +65,7 @@ def step_from_json(data):
     if kind == "cap0":
         return CAP0
     genus = data["genus"]
-    auto = data.get("auto")
-    phi = automorphism_from_json(auto) if auto else identity_automorphism(genus)
+    phi = _auto_from_json(data)
     if kind == "cyl":
         return cyl(phi)
     if kind == "attach2":
@@ -119,17 +128,15 @@ def label_from_json(group, data, cache=None):
     kind = data["kind"]
     if kind == "diagonal":
         return diagonal_relation(cache.variety(bordobject_from_json(data["object"])))
-    if kind == "cyl":
-        return relation_of_cyl(group, automorphism_from_json(data["auto"]), cache)
-    if kind in ("attach2", "attach1"):
-        auto = data.get("auto")
-        genus = data["genus"]
-        phi = automorphism_from_json(auto) if auto else identity_automorphism(genus)
-        rel = relation_of_attach2(group, AttachingCircle(genus, phi), cache)
-        return rel if kind == "attach2" else rel.transpose()
     if kind == "raw":
         return relation_from_json(group, data)
-    raise FloerkitError(f"unknown label kind {kind!r}")
+    if kind not in ("cyl", "attach2", "attach1"):
+        raise FloerkitError(f"unknown label kind {kind!r}")
+    phi = _auto_from_json(data)
+    if kind == "cyl":
+        return relation_of_cyl(group, phi, cache)
+    rel = relation_of_attach2(group, AttachingCircle(data["genus"], phi), cache)
+    return rel if kind == "attach2" else rel.transpose()
 
 
 def diagram_from_json(group, data):

@@ -221,10 +221,6 @@ class CyclicChain:
     def __len__(self):
         return len(self.relations)
 
-    def node_varieties(self):
-        """Variety at node i = source of relation i."""
-        return tuple(r.source for r in self.relations)
-
     def rotate(self, shift):
         k = len(self.relations)
         shift %= k
@@ -258,7 +254,7 @@ class GeneratorSet:
 def generator_set(c: CyclicChain, budget=None) -> GeneratorSet:
     """Enumerate matching tuples by propagating along the cycle."""
     k = len(c.relations)
-    nodes = c.node_varieties()
+    nodes = tuple(r.source for r in c.relations)  # node i: source of relation i
     if budget is not None:
         est = 1
         for v in nodes:

@@ -13,6 +13,7 @@ greedy reduction is complete).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import GenusMismatch, InvalidAutomorphism
@@ -161,21 +162,13 @@ def free_conjugate_test(u, v) -> bool:
 
 # -- the word problem in surface groups ------------------------------------
 
+@functools.cache
 def _relator_rotations(genus):
     rel = surface_relator(genus)
     rots = set()
     for r in (rel, invert_word(rel)):
         rots |= rotations(r)
     return tuple(sorted(rots))
-
-
-_ROTATION_CACHE = {}
-
-
-def _rotation_table(genus):
-    if genus not in _ROTATION_CACHE:
-        _ROTATION_CACHE[genus] = _relator_rotations(genus)
-    return _ROTATION_CACHE[genus]
 
 
 def surface_word_is_trivial(letters, genus):
@@ -192,7 +185,7 @@ def surface_word_is_trivial(letters, genus):
         return abelianization(w, 2) == (0, 0)
 
     half = 2 * genus  # relator length is 4g
-    rots = _rotation_table(genus)
+    rots = _relator_rotations(genus)
     while w:
         shortened = False
         # scan for a subword of length > half matching a relator prefix

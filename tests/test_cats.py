@@ -234,6 +234,48 @@ def test_functor_category_laws():
     )
 
 
+# (objects, morphisms) of functor_category(cat, cat, functor_limit=12) for
+# some random_category seeds
+FUNCTOR_CATEGORY_SIZES = {
+    0: (12, 16), 1: (9, 65), 6: (6, 56), 9: (12, 228), 12: (5, 25)
+}
+
+
+def test_functor_category_matches_vertical_composition():
+    cases = {"2->2": (two_chain(), two_chain(), None)}
+    cases["2->3"] = (two_chain(), three_chain(), None)
+    for seed in range(30):
+        cat = random_category(seed)
+        if len(cat.morphisms) <= 8:
+            cases[seed] = (cat, cat, 12)
+    assert len(cases) > 20 and FUNCTOR_CATEGORY_SIZES.keys() <= cases.keys()
+    for label, (C, D, limit) in cases.items():
+        fun = functor_category(C, D, functor_limit=limit)
+        nat_of = fun.nat_of
+        assert set(fun.comp) == {
+            (m1, m2) for m1 in nat_of for m2 in nat_of if m1[1] == m2[0]
+        }
+        for (m1, m2), m in fun.comp.items():
+            assert nat_of[m] == nat_vertical_compose(nat_of[m1], nat_of[m2]), label
+        for i, F in fun.functor_of.items():
+            assert nat_of[fun.identity[i]] == identity_nat(F), label
+        if label in FUNCTOR_CATEGORY_SIZES:
+            size = (len(fun.objects), len(fun.morphisms))
+            assert size == FUNCTOR_CATEGORY_SIZES[label]
+
+
+def test_functor_category_looks_up_composites(monkeypatch):
+    import floerkit.cats as cats
+
+    def forbidden(*args):
+        raise AssertionError("functor_category rebuilt a transformation")
+
+    monkeypatch.setattr(cats, "nat_vertical_compose", forbidden)
+    monkeypatch.setattr(cats, "identity_nat", forbidden)
+    fun = functor_category(two_chain(), three_chain())
+    assert len(fun.objects) == 6
+
+
 def test_quotient_identity_2cells_recovers_category():
     C = three_chain()
     B = bicategory_with_identity_2cells(C)

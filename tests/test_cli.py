@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -9,7 +10,13 @@ from floerkit.cli import dispatch
 from floerkit.fieldfun import lens_chain, s1_x_s2_chain, sphere_chain
 from floerkit.groups import cyclic_group, symmetric_group
 from floerkit.quilt import cylinder_diagram
-from floerkit.repvar import VarietyCache, relation_of_attach2, relation_of_cyl
+from floerkit.bordobjects import surface
+from floerkit.repvar import (
+    VarietyCache,
+    diagonal_relation,
+    relation_of_attach2,
+    relation_of_cyl,
+)
 from floerkit.bordism import canonical_circle
 from floerkit.words import dehn_twist_a
 
@@ -39,7 +46,13 @@ def files(tmp_path_factory):
     rel_a = relation_of_attach2(s3, canonical_circle(1), cache)
     rel_g = relation_of_cyl(s3, dehn_twist_a(1), cache)
     q = cylinder_diagram([rel_a, rel_a.transpose()])
+    nonjson = tmp / "nonjson.json"
+    nonjson.write_text("not json")
     return {
+        "nonjson": str(nonjson),
+        "nomul": write("nomul.json", {"bad": 1}),
+        "ragged": write("ragged.json", {"mul": [[0, 1], [1]]}),
+        "twist_a1": write("twist_a1.json", dehn_twist_a(1).to_json()),
         "s3": write("s3.json", s3.to_json()),
         "z2": write("z2.json", cyclic_group(2).to_json()),
         "sphere": write("sphere.json", fio.chain_to_json(sphere_chain())),
@@ -69,6 +82,55 @@ def test_group_check(files):
     code, out = run(["group-check", "--group", files["badgroup"]])
     assert code == 1
     assert json.loads(out)["error"] == "NoIdentity"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group-check", "--group", "nomul"],
+        ["group-check", "--group", "nonjson"],
+        ["group-check", "--group", "ragged"],
+        ["repvar", "--group", "nonjson", "--genus", "1"],
+        ["repvar", "--group", "s3", "--genus", "-1"],
+        ["lagrangian", "--group", "s3", "--genus", "1", "--kind", "cyl",
+         "--auto", "nonjson"],
+    ],
+    ids=[
+        "group-without-mul",
+        "group-not-json",
+        "group-ragged-table",
+        "repvar-not-json",
+        "repvar-negative-genus",
+        "auto-not-json",
+    ],
+)
+def test_bad_input_exits_1_with_report(files, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, out = run(argv)
+    assert code == 1
+    assert "error" in json.loads(out)
+
+
+def test_lagrangian_cyl_without_auto_is_the_diagonal(files):
+    code, out = run(
+        ["lagrangian", "--group", files["s3"], "--genus", "1", "--kind", "cyl"]
+    )
+    assert code == 0
+    variety = VarietyCache(symmetric_group(3)).variety(surface(1))
+    assert out == fio.dumps(diagonal_relation(variety).to_json())
+
+
+def test_lagrangian_cyl_with_auto_output_pinned(files):
+    code, out = run(
+        [
+            "lagrangian", "--group", files["s3"], "--genus", "1", "--kind", "cyl",
+            "--auto", files["twist_a1"],
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9614d035b17e3925e9dce73062b59518ea550647559af7fce0bcb224b6cc1287"
+    )
 
 
 def test_repvar_counts(files):

@@ -5,6 +5,7 @@ dependence on dict insertion order or worker count."""
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .bordism import (
     CAP0,
@@ -20,7 +21,14 @@ from .bordism import (
 from .bordobjects import bordobject_from_json
 from .errors import FloerkitError
 from .quilt import QuiltDiagram, QuiltSurface
-from .repvar import FiniteRelation, RepVariety, VarietyCache, diagonal_relation
+from .repvar import (
+    FiniteRelation,
+    RepVariety,
+    VarietyCache,
+    canonical_point,
+    diagonal_relation,
+    satisfies_relator,
+)
 from .words import automorphism_from_json, identity_automorphism
 
 
@@ -34,6 +42,18 @@ def load_json(path):
             return json.load(fh)
         except ValueError as err:  # JSONDecodeError, or bytes that are not text
             raise FloerkitError(f"{path} is not valid JSON", witness=str(err)) from None
+
+
+@contextmanager
+def _reading(what, witness=None):
+    """Report a missing or mistyped field of a JSON document as a
+    FloerkitError naming the document, not as a KeyError or TypeError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as err:
+        raise FloerkitError(
+            f"malformed {what}: {type(err).__name__} {err}", witness=witness
+        ) from None
 
 
 def _auto_from_json(data):
@@ -82,16 +102,36 @@ def chain_to_json(c: CobordismChain):
 def chain_from_json(data):
     if not isinstance(data, list) or not data:
         raise FloerkitError("a chain file is a non-empty JSON list of steps")
-    return chain([step_from_json(s) for s in data])
+    steps = []
+    for i, step in enumerate(data):
+        with _reading(f"chain step {i}", witness=step):
+            steps.append(step_from_json(step))
+    return chain(steps)
 
 
 # -- varieties and relations ----------------------------------------------------
 
 
 def variety_from_json(group, data):
-    obj = bordobject_from_json(data["object"])
-    points = tuple(tuple(p) for p in data["points"])
-    return RepVariety(group, obj, points)
+    """A variety whose every point is checked: 2g elements of the group
+    that satisfy the surface relator and are least in their conjugation
+    orbit.  Whether the points are all of the variety is not checked."""
+    with _reading("variety"):
+        obj = bordobject_from_json(data["object"])
+        v = RepVariety(group, obj, tuple(tuple(p) for p in data["points"]))
+    for p in v.points:
+        if len(p) != 2 * v.genus or not all(
+            isinstance(x, int) and 0 <= x < group.order for x in p
+        ):
+            reason = "is not a tuple of 2g group elements"
+        elif not satisfies_relator(group, p):
+            reason = "does not satisfy the surface relator"
+        elif canonical_point(group, p) != p:
+            reason = "is not least in its conjugation orbit"
+        else:
+            continue
+        raise FloerkitError(f"variety point {list(p)} {reason}", witness=list(p))
+    return v
 
 
 def relation_from_json(group, data):
@@ -141,26 +181,27 @@ def label_from_json(group, data, cache=None):
 
 def diagram_from_json(group, data):
     cache = VarietyCache(group)
-    ends = {e: tuple(order) for e, order in data["ends"].items()}
-    seams = {s: tuple(pair) for s, pair in data["seams"].items()}
-    circle_seams = {
-        c: tuple(sides) for c, sides in data.get("circle_seams", {}).items()
-    }
-    surface_obj = QuiltSurface(
-        ends,
-        data["outgoing"],
-        seams,
-        circle_seams=circle_seams,
-        end_patch=dict(data.get("end_patch", {})),
-    )
-    patch_labels = {
-        p: cache.variety(bordobject_from_json(obj))
-        for p, obj in data["patch_labels"].items()
-    }
-    seam_labels = {
-        s: label_from_json(group, lab, cache)
-        for s, lab in data["seam_labels"].items()
-    }
+    with _reading("quilt diagram"):
+        ends = {e: tuple(order) for e, order in data["ends"].items()}
+        seams = {s: tuple(pair) for s, pair in data["seams"].items()}
+        circle_seams = {
+            c: tuple(sides) for c, sides in data.get("circle_seams", {}).items()
+        }
+        surface_obj = QuiltSurface(
+            ends,
+            data["outgoing"],
+            seams,
+            circle_seams=circle_seams,
+            end_patch=dict(data.get("end_patch", {})),
+        )
+        patch_labels = {
+            p: cache.variety(bordobject_from_json(obj))
+            for p, obj in data["patch_labels"].items()
+        }
+        seam_labels = {
+            s: label_from_json(group, lab, cache)
+            for s, lab in data["seam_labels"].items()
+        }
     return QuiltDiagram(surface_obj, patch_labels, seam_labels)
 
 

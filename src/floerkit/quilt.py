@@ -74,9 +74,10 @@ class QuiltSurface:
     def analyze(self):
         """Check well-formedness; returns (report, data).  Report entries
         are dicts with check/status/detail; data holds the derived maps
-        when the structure is sound enough to compute them."""
+        when the structure is sound enough to compute them.  The cache also
+        keeps the traced structure for ``core_data``."""
         if self._analysis is not None:
-            return self._analysis
+            return self._analysis[:2]
         report = []
 
         def check(name, ok, detail=None):
@@ -115,8 +116,8 @@ class QuiltSurface:
         check("exactly one outgoing end", outgoing_ok, self.outgoing)
 
         if duplicates or bad_seams or dangling or not outgoing_ok:
-            self._analysis = (report, None)
-            return self._analysis
+            self._analysis = (report, None, None)
+            return self._analysis[:2]
 
         # face tracing: orbits of sigma o alpha
         def sigma(h):
@@ -237,10 +238,9 @@ class QuiltSurface:
             "euler": euler,
             "genus": genus,
         }
-        self._core = data
         ok = all(entry["status"] == "pass" for entry in report)
-        self._analysis = (report, data if ok else None)
-        return self._analysis
+        self._analysis = (report, data if ok else None, data)
+        return self._analysis[:2]
 
     def data(self):
         report, data = self.analyze()
@@ -253,8 +253,8 @@ class QuiltSurface:
         """Traced structure (faces, owners, alpha) even when the circle or
         bare-end bookkeeping is not settled yet; raises only when the
         rotation system itself is malformed."""
-        report, data = self.analyze()
-        core = getattr(self, "_core", None)
+        report, _ = self.analyze()
+        core = self._analysis[2]
         if core is None:
             bad = [e for e in report if e["status"] == "fail"]
             raise InvalidEnd(f"malformed quilt surface: {bad}", witness=bad)
@@ -414,7 +414,10 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
     at each incoming end, restricted to the outgoing end.
 
     inputs: mapping incoming end id -> generator tuple (in the order of
-    the end's cyclic sequence).  Returns the set of outgoing tuples.
+    the end's cyclic sequence).  Returns the set of outgoing tuples.  Every
+    input is checked against its end's generator set before any is pinned,
+    so inputs that pin one patch two ways give the empty set only when
+    each of them is a generator.
     """
     if not q.relation_mode():
         raise LabelMismatch("evaluation needs relation labels")
@@ -428,8 +431,7 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
             witness=sorted(set(inputs) ^ set(incoming), key=repr),
         )
 
-    # pin patch points from the input tuples, rejecting inconsistent pins
-    pinned = {}
+    pins = []
     for e in incoming:
         nodes = surface.end_nodes(e)
         tup = tuple(inputs[e])
@@ -443,10 +445,13 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
             raise InputNotGenerator(
                 f"input at {e!r} is not a generator of the end", witness=(e, tup)
             )
-        for p, x in zip(nodes, tup):
-            if p in pinned and pinned[p] != x:
-                return set()
-            pinned[p] = x
+        pins.extend(zip(nodes, tup))
+
+    # pin patch points from the checked inputs; inconsistent pins give nothing
+    pinned = {}
+    for p, x in pins:
+        if pinned.setdefault(p, x) != x:
+            return set()
 
     constraints = []
     for s in sorted(set(surface.seams) | set(surface.circle_seams), key=repr):
@@ -456,7 +461,7 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
     if budget is not None:
         est = 1
         for p in patches:
-            est *= max(len(self_points(q, p)), 1)
+            est *= max(len(q.patch_labels[p].points), 1)
         if est > budget:
             raise ResourceLimit(f"assignment space of size {est}", witness=est)
 
@@ -475,7 +480,7 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
             results.add(tuple(assign[by_patch[p]] for p in out_nodes))
             return
         p = order[i]
-        candidates = (pinned[p],) if p in pinned else self_points(q, p)
+        candidates = (pinned[p],) if p in pinned else q.patch_labels[p].points
         for x in candidates:
             assign.append(x)
             ok = True
@@ -489,10 +494,6 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
 
     rec(0, [])
     return results
-
-
-def self_points(q: QuiltDiagram, patch):
-    return q.patch_labels[patch].points
 
 
 def identity_alignment(q: QuiltDiagram, e_in):
@@ -537,15 +538,55 @@ def evaluation_map(q: QuiltDiagram, budget=None):
     return table
 
 
-# -- gluing --------------------------------------------------------------------
+# -- surgery -------------------------------------------------------------------
 
 
-def _sequence_signature(q: QuiltDiagram, e):
-    labels = q.end_labels(e)
-    nodes_objs = tuple(
-        q.patch_labels[p] for p in q.surface.end_nodes(e)
+def _resurface(
+    ends,
+    outgoing,
+    seams,
+    circle_seams,
+    end_patch,
+    patch_labels,
+    seam_labels,
+    old_patch_of_half,
+    error,
+    message,
+):
+    """The diagram left by a surgery (gluing or strip shrinking).
+
+    Faces are traced afresh on the new ends and seams.  Each face takes the
+    label of the old patch of its first half-edge (``old_patch_of_half``),
+    and that old patch id is renamed to the face id; a seamless sphere
+    takes any label.  Circle regions keep their ids, and circle seams and
+    bare ends (given with old patch ids) follow the renaming.  Raises
+    ``error(message)`` with the validation report when the result is
+    invalid.
+    """
+    faces = QuiltSurface(ends, outgoing, seams).core_data()["faces"]
+    labels = {}
+    rename = {}
+    for fid, orbit in faces.items():
+        old = old_patch_of_half[orbit[0]] if orbit else next(iter(patch_labels))
+        labels[fid] = patch_labels[old]
+        rename[old] = fid
+    for p, lab in patch_labels.items():
+        if p not in rename:
+            labels[p] = lab
+    surface = QuiltSurface(
+        ends,
+        outgoing,
+        seams,
+        circle_seams={
+            cid: (rename.get(pm, pm), rename.get(pp, pp))
+            for cid, (pm, pp) in circle_seams.items()
+        },
+        end_patch={e: rename.get(p, p) for e, p in end_patch.items()},
     )
-    return labels, nodes_objs
+    out = QuiltDiagram(surface, labels, seam_labels)
+    if not out.is_valid():
+        raise error(message, witness=out.validate())
+    return out
 
 
 def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
@@ -553,19 +594,23 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
 
     The cyclic sequences must match up to rotation (labels and objects);
     the matched seams are welded pairwise and the corner patches
-    identified.
+    identified.  The result records the rotation as ``glue_offset`` and
+    the glued end as ``glue_end``.
     """
     if e not in q2.surface.ends or e == q2.surface.outgoing:
         raise InvalidEnd(f"{e!r} is not an incoming end of the second diagram")
-    labels1, objs1 = _sequence_signature(q1, q1.surface.outgoing)
-    labels2, objs2 = _sequence_signature(q2, e)
+    s1 = q1.surface
+    s2 = q2.surface
+    labels1 = q1.end_labels(s1.outgoing)
+    objs1 = tuple(q1.patch_labels[p] for p in s1.end_nodes(s1.outgoing))
+    labels2 = q2.end_labels(e)
+    objs2 = tuple(q2.patch_labels[p] for p in s2.end_nodes(e))
     k = len(labels1)
     if len(labels2) != k:
         raise CyclicMismatch(
             f"end valences differ: {k} vs {len(labels2)}", witness=(k, len(labels2))
         )
     offset = None
-    seq1_bare = not q1.surface.end_sequence(q1.surface.outgoing)
     for r in range(max(k, 1)):
         rot_labels = labels2[r:] + labels2[:r]
         rot_objs = objs2[r:] + objs2[:r]
@@ -581,16 +626,14 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
             witness={"position": first_bad, "left": repr(labels1), "right": repr(labels2)},
         )
 
-    s1 = q1.surface
-    s2 = q2.surface
-
     def tag1(x):
         return ("L", x)
 
     def tag2(x):
         return ("R", x)
 
-    d1, d2 = s1.data(), s2.data()
+    # per side tag: the diagram and the traced faces of its half-edges
+    sides = {"L": (q1, s1.data()["face_of"]), "R": (q2, s2.data()["face_of"])}
 
     # node-patch identification along the glued ends
     nodes1 = s1.end_nodes(s1.outgoing)
@@ -610,13 +653,7 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
     for i in range(len(nodes1)):
         union(tag1(nodes1[i]), tag2(nodes2[(i + offset) % len(nodes2)]))
 
-    if seq1_bare:
-        # bare-into-bare gluing: only the patch identification happens
-        pass
-
     # weld seams across the junction
-    seq1 = s1.end_sequence(s1.outgoing)
-    seq2 = s2.end_sequence(e)
     half1 = list(s1.ends[s1.outgoing])
     half2_rev = list(reversed(s2.ends[e]))  # incoming sequence order
     junction = {}
@@ -626,30 +663,27 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
         junction[tag1(h1)] = tag2(h2)
         junction[tag2(h2)] = tag1(h1)
 
+    # seam pairing, and the directed label into each half-edge for
+    # rebuilding welded labels
     alpha = {}
-    for s, (a, b) in s1.seams.items():
-        alpha[tag1(a)] = tag1(b)
-        alpha[tag1(b)] = tag1(a)
-    for s, (a, b) in s2.seams.items():
-        alpha[tag2(a)] = tag2(b)
-        alpha[tag2(b)] = tag2(a)
-
-    # directed labels into each half-edge, for rebuilding welded labels
     directed = {}
-    for q, tag, s_obj in ((q1, tag1, s1), (q2, tag2, s2)):
-        for s, (a, b) in s_obj.seams.items():
+    for q, tag in ((q1, tag1), (q2, tag2)):
+        for s, (a, b) in q.surface.seams.items():
+            alpha[tag(a)] = tag(b)
+            alpha[tag(b)] = tag(a)
             directed[tag(b)] = q.seam_labels[s]
             directed[tag(a)] = q.seam_labels[s].transpose()
 
+    # the ends that stay, and the patches of the bare ones among them
     new_ends = {}
-    for end_id, order in s1.ends.items():
-        if end_id == s1.outgoing:
-            continue
-        new_ends[tag1(end_id)] = tuple(tag1(h) for h in order)
-    for end_id, order in s2.ends.items():
-        if end_id == e:
-            continue
-        new_ends[tag2(end_id)] = tuple(tag2(h) for h in order)
+    end_patch = {}
+    for tag, s_obj, glued in ((tag1, s1, s1.outgoing), (tag2, s2, e)):
+        for end_id, order in s_obj.ends.items():
+            if end_id == glued:
+                continue
+            new_ends[tag(end_id)] = tuple(tag(h) for h in order)
+            if not order:
+                end_patch[tag(end_id)] = find(tag(s_obj.end_patch[end_id]))
 
     surviving = {h for order in new_ends.values() for h in order}
     new_seams = {}
@@ -676,117 +710,61 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
 
     # matched loops can weld into closed curves that touch no surviving
     # seam-end; those become circle seams between the adjacent regions
-    welded_circles = {}
-    welded_circle_labels = {}
+    circle_seams = {}
+    circle_labels = {}
     for h in sorted(junction, key=repr):
         if h in visited:
             continue
-        cycle = []
         cur = h
         while cur not in visited:
             visited.add(cur)
             visited.add(junction[cur])
-            cycle.append(cur)
             cur = alpha[junction[cur]]
-        if not cycle:
-            continue
         side, raw = h
-        if side == "L":
-            face_of = d1["face_of"]
-            seam_pairs = s1.seams
-            labels_of = q1
-        else:
-            face_of = d2["face_of"]
-            seam_pairs = s2.seams
-            labels_of = q2
-        seam_id = next(
-            sid for sid, (a, b) in seam_pairs.items() if raw in (a, b)
+        q, face_of = sides[side]
+        seam_id, (a, b) = next(
+            (sid, pair) for sid, pair in q.surface.seams.items() if raw in pair
         )
-        a, b = seam_pairs[seam_id]
         cid = ("wc", idx)
         idx += 1
-        tag = tag1 if side == "L" else tag2
-        welded_circles[cid] = (find(tag(face_of[b])), find(tag(face_of[a])))
-        welded_circle_labels[cid] = labels_of.seam_labels[seam_id]
+        circle_seams[cid] = (find((side, face_of[b])), find((side, face_of[a])))
+        circle_labels[cid] = q.seam_labels[seam_id]
 
     # patch labels and circle seams through the identification
-    def mapped(tagged):
-        return find(tagged)
-
     patch_labels = {}
     for p, lab in q1.patch_labels.items():
-        patch_labels[mapped(tag1(p))] = lab
+        patch_labels[find(tag1(p))] = lab
     for p, lab in q2.patch_labels.items():
-        rep = mapped(tag2(p))
+        rep = find(tag2(p))
         if rep in patch_labels and patch_labels[rep] != lab:
             raise LabelMismatch(
                 "glued patches carry different objects", witness=(p, repr(lab))
             )
         patch_labels[rep] = lab
 
-    circle_seams = dict(welded_circles)
-    circle_labels = dict(welded_circle_labels)
-    for q, tag, s_obj in ((q1, tag1, s1), (q2, tag2, s2)):
-        for cid, (pm, pp) in s_obj.circle_seams.items():
-            circle_seams[tag(cid)] = (mapped(tag(pm)), mapped(tag(pp)))
+    for q, tag in ((q1, tag1), (q2, tag2)):
+        for cid, (pm, pp) in q.surface.circle_seams.items():
+            circle_seams[tag(cid)] = (find(tag(pm)), find(tag(pp)))
             circle_labels[tag(cid)] = q.seam_labels[cid]
 
-    end_patch = {}
-    for end_id, order in s1.ends.items():
-        if end_id != s1.outgoing and not order:
-            end_patch[tag1(end_id)] = mapped(tag1(s1.end_patch[end_id]))
-    for end_id, order in s2.ends.items():
-        if end_id != e and not order:
-            end_patch[tag2(end_id)] = mapped(tag2(s2.end_patch[end_id]))
-
-    probe_surface = QuiltSurface(new_ends, tag2(s2.outgoing), new_seams)
-    data = probe_surface.core_data()
-
-    # the traced faces of the glued surface are unions of old patches;
-    # rebuild patch labels by locating one old half-edge in each new face
-    old_patch_of_half = {}
-    for h in surviving:
-        if h[0] == "L":
-            old_patch_of_half[h] = mapped(tag1(d1["face_of"][h[1]]))
-        else:
-            old_patch_of_half[h] = mapped(tag2(d2["face_of"][h[1]]))
-    final_patch_labels = {}
-    rename = {}
-    for fid, orbit in data["faces"].items():
-        if orbit:
-            old = old_patch_of_half[orbit[0]]
-            final_patch_labels[fid] = patch_labels[old]
-            rename[old] = fid
-        else:
-            # bare sphere face
-            any_patch = next(iter(patch_labels))
-            final_patch_labels[fid] = patch_labels[any_patch]
-            rename[any_patch] = fid
-    # circle regions keep their (mapped) ids
-    for p, lab in patch_labels.items():
-        if p not in rename:
-            final_patch_labels[p] = lab
-    fixed_circles = {
-        cid: (rename.get(pm, pm), rename.get(pp, pp))
-        for cid, (pm, pp) in circle_seams.items()
+    # the traced faces of the glued surface are unions of old patches
+    old_patch_of_half = {
+        (side, raw): find((side, sides[side][1][raw])) for side, raw in surviving
     }
-    fixed_end_patch = {
-        eid: rename.get(p, p) for eid, p in end_patch.items()
-    }
-    glued_surface = QuiltSurface(
+    seam_labels = dict(new_labels)
+    seam_labels.update(circle_labels)
+    out = _resurface(
         new_ends,
         tag2(s2.outgoing),
         new_seams,
-        circle_seams=fixed_circles,
-        end_patch=fixed_end_patch,
+        circle_seams,
+        end_patch,
+        patch_labels,
+        seam_labels,
+        old_patch_of_half,
+        CyclicMismatch,
+        "gluing produced an invalid diagram",
     )
-    seam_labels = dict(new_labels)
-    seam_labels.update(circle_labels)
-    out = QuiltDiagram(glued_surface, final_patch_labels, seam_labels)
-    if not out.is_valid():
-        raise CyclicMismatch(
-            "gluing produced an invalid diagram", witness=out.validate()
-        )
     out.glue_offset = offset
     out.glue_end = e
     return out
@@ -797,7 +775,9 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
 
 def shrink_strip(q: QuiltDiagram, p):
     """Remove a two-seam strip or annulus patch, merging its boundary
-    seams into one labeled with the (embedded) geometric composition."""
+    seams into one labeled with the (embedded) geometric composition.
+    Removing a strip retraces the faces, so the other patches may be
+    renamed; circle seams and bare ends follow them."""
     surface = q.surface
     data = surface.data()
     if p in data["faces"]:
@@ -832,7 +812,6 @@ def shrink_strip(q: QuiltDiagram, p):
             raise NotEmbedded(
                 "strip labels do not compose embeddedly", witness=witness
             )
-        composed = geometric_compose(lab_in, lab_out)
 
         new_ends = {}
         for e, order in surface.ends.items():
@@ -842,49 +821,22 @@ def shrink_strip(q: QuiltDiagram, p):
         }
         sid = ("merge", s_a, s_b)
         new_seams[sid] = (y, x)
-        new_surface = QuiltSurface(
-            new_ends,
-            surface.outgoing,
-            new_seams,
-            circle_seams=dict(surface.circle_seams),
-            end_patch=dict(surface.end_patch),
-        )
-        new_data = new_surface.data()
-        # rebuild patch labels by sampling a half-edge per face
-        patch_labels = {}
-        rename = {}
-        for fid, orbit2 in new_data["faces"].items():
-            if orbit2:
-                old_face = data["face_of"][orbit2[0]]
-                patch_labels[fid] = q.patch_labels[old_face]
-                rename[old_face] = fid
-        for old_p, lab in q.patch_labels.items():
-            if old_p != p and old_p not in rename and old_p not in patch_labels:
-                patch_labels[old_p] = lab
         seam_labels = {
             s: lab for s, lab in q.seam_labels.items() if s not in (s_a, s_b)
         }
-        seam_labels[sid] = composed
-        fixed_circles = {
-            cid: (rename.get(pm, pm), rename.get(pp, pp))
-            for cid, (pm, pp) in surface.circle_seams.items()
-        }
-        fixed_end_patch = {
-            eid: rename.get(pt, pt) for eid, pt in surface.end_patch.items()
-        }
-        new_surface = QuiltSurface(
+        seam_labels[sid] = geometric_compose(lab_in, lab_out)
+        return _resurface(
             new_ends,
             surface.outgoing,
             new_seams,
-            circle_seams=fixed_circles,
-            end_patch=fixed_end_patch,
+            surface.circle_seams,
+            surface.end_patch,
+            {k: v for k, v in q.patch_labels.items() if k != p},
+            seam_labels,
+            data["face_of"],
+            NotAStrip,
+            "shrinking produced an invalid diagram",
         )
-        out = QuiltDiagram(new_surface, patch_labels, seam_labels)
-        if not out.is_valid():
-            raise NotAStrip(
-                "shrinking produced an invalid diagram", witness=out.validate()
-            )
-        return out
 
     # annulus bounded by two circle seams
     touching = [
@@ -960,19 +912,13 @@ def cylinder_diagram(labels):
     }
     seams = {("s", j): (("i", j), ("o", j)) for j in range(k)}
     surface = QuiltSurface(ends, "out", seams)
-    data = surface.data()
     # outgoing sequence order and orientation fix the labels
-    seq = surface.end_sequence("out")
     seam_labels = {}
     patch_labels = {}
-    order = {s: i for i, (s, d) in enumerate(seq)}
-    for s, d in seq:
-        lab = labels[order[s]]
+    for lab, (s, d) in zip(labels, surface.end_sequence("out")):
         seam_labels[s] = lab if d == +1 else lab.transpose()
-    for i, (s, d) in enumerate(seq):
         pm, pp = surface.seam_sides(s)
-        src = pm if d == +1 else pp
-        patch_labels[src] = labels[i].source
+        patch_labels[pm if d == +1 else pp] = lab.source
     diagram = QuiltDiagram(surface, patch_labels, seam_labels)
     return diagram
 
@@ -983,7 +929,6 @@ def cap_diagram(label):
     ends = {"out": (("h", 0), ("h", 1))}
     seams = {("s", 0): (("h", 0), ("h", 1))}
     surface = QuiltSurface(ends, "out", seams)
-    seq = surface.end_sequence("out")
     # the stored-orientation entry carries the label
     seam_labels = {("s", 0): label}
     pm, pp = surface.seam_sides(("s", 0))
@@ -1111,10 +1056,10 @@ def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
     d1, d2 = s1.data(), s2.data()
     ends1 = sorted(s1.ends, key=repr)
     ends2 = sorted(s2.ends, key=repr)
-
-    def end_profile(q, s_obj, e):
-        incoming = e != s_obj.outgoing
-        return (incoming, len(s_obj.ends[e]))
+    seam_at = {}  # (a, b) -> (seam of q2, +1 if stored as (a, b) else -1)
+    for s, (a, b) in s2.seams.items():
+        seam_at[(a, b)] = (s, +1)
+        seam_at[(b, a)] = (s, -1)
 
     def try_map(perm):
         # perm: end of q1 -> (end of q2, rotation)
@@ -1124,21 +1069,10 @@ def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
             for i, h in enumerate(o1):
                 half_map[h] = o2[(i + rot) % len(o2)]
         # seams must map to seams with equal labels
-        seam_pairs = {}
         for s, (a, b) in s1.seams.items():
-            img = (half_map[a], half_map[b])
-            hit = None
-            direction = None
-            for s2id, (a2, b2) in s2.seams.items():
-                if (a2, b2) == img:
-                    hit, direction = s2id, +1
-                elif (b2, a2) == img:
-                    hit, direction = s2id, -1
-            if hit is None:
+            hit = seam_at.get((half_map[a], half_map[b]))
+            if hit is None or q1.seam_labels[s] != q2.label(*hit):
                 return False
-            if q1.seam_labels[s] != q2.label(hit, direction):
-                return False
-            seam_pairs[s] = hit
         # patch labels must transport
         for h, h2 in half_map.items():
             p1 = d1["face_of"][h]
@@ -1152,9 +1086,7 @@ def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
             return try_map(perm)
         e1 = ends1[i]
         for e2 in ends2:
-            if e2 in used:
-                continue
-            if end_profile(q1, s1, e1) != end_profile(q2, s2, e2):
+            if e2 in used or len(s1.ends[e1]) != len(s2.ends[e2]):
                 continue
             if (e1 == s1.outgoing) != (e2 == s2.outgoing):
                 continue

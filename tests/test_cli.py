@@ -13,9 +13,11 @@ from floerkit.quilt import cylinder_diagram
 from floerkit.bordobjects import surface
 from floerkit.repvar import (
     VarietyCache,
+    canonical_point,
     diagonal_relation,
     relation_of_attach2,
     relation_of_cyl,
+    satisfies_relator,
 )
 from floerkit.bordism import canonical_circle
 from floerkit.words import dehn_twist_a
@@ -48,6 +50,20 @@ def files(tmp_path_factory):
     q = cylinder_diagram([rel_a, rel_a.transpose()])
     nonjson = tmp / "nonjson.json"
     nonjson.write_text("not json")
+
+    def forged(group, point):
+        # the diagonal on the genus-1 variety, with one more point and pair
+        data = diagonal_relation(VarietyCache(group).variety(surface(1))).to_json()
+        for side in ("source", "target"):
+            data[side]["points"].append(point)
+        data["pairs"].append([point, point])
+        return data
+
+    pairs = [(a, b) for a in range(s3.order) for b in range(s3.order)]
+    off_relator = next(p for p in pairs if not satisfies_relator(s3, p))
+    off_canonical = next(
+        p for p in pairs if satisfies_relator(s3, p) and canonical_point(s3, p) != p
+    )
     return {
         "nonjson": str(nonjson),
         "nomul": write("nomul.json", {"bad": 1}),
@@ -64,6 +80,19 @@ def files(tmp_path_factory):
         "rel_g": write("rel_g.json", rel_g.to_json()),
         "diagram": write("diagram.json", fio.diagram_to_json(q)),
         "badgroup": write("badgroup.json", {"name": "bad", "order": 2, "mul": [[1, 0], [1, 0]]}),
+        "chain_nogenus": write("chain_nogenus.json", [{"kind": "cyl"}]),
+        "chain_string": write("chain_string.json", ["cyl"]),
+        "chain_badgenus": write("chain_badgenus.json", [{"kind": "cyl", "genus": "a"}]),
+        "chain_nokind": write("chain_nokind.json", [{"genus": 1}]),
+        "chain_noimages": write(
+            "chain_noimages.json", [{"kind": "cyl", "genus": 1, "auto": {"genus": 1}}]
+        ),
+        "emptydiagram": write("emptydiagram.json", {}),
+        "forged_range": write("forged_range.json", forged(cyclic_group(2), [7, 7])),
+        "forged_relator": write("forged_relator.json", forged(s3, list(off_relator))),
+        "forged_canonical": write(
+            "forged_canonical.json", forged(s3, list(off_canonical))
+        ),
     }
 
 
@@ -84,6 +113,15 @@ def test_group_check(files):
     assert json.loads(out)["error"] == "NoIdentity"
 
 
+MALFORMED_CHAINS = (
+    "chain_nogenus",
+    "chain_string",
+    "chain_badgenus",
+    "chain_nokind",
+    "chain_noimages",
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -94,6 +132,16 @@ def test_group_check(files):
         ["repvar", "--group", "s3", "--genus", "-1"],
         ["lagrangian", "--group", "s3", "--genus", "1", "--kind", "cyl",
          "--auto", "nonjson"],
+        *(["bordism-validate", "--chain", chain] for chain in MALFORMED_CHAINS),
+        *(["invariant", "--group", "s3", "--chain", chain] for chain in MALFORMED_CHAINS),
+        ["quilt-validate", "--group", "s3", "--diagram", "emptydiagram"],
+        ["quilt-glue", "--group", "s3", "--first", "emptydiagram",
+         "--second", "diagram", "--end", "e0"],
+        ["quilt-shrink", "--group", "s3", "--diagram", "emptydiagram", "--patch", "f0"],
+        ["quilt-export-dot", "--group", "s3", "--diagram", "emptydiagram"],
+        ["compose", "--group", "z2", "forged_range", "forged_range"],
+        ["compose", "--group", "s3", "forged_relator", "forged_relator"],
+        ["compose", "--group", "s3", "forged_canonical", "forged_canonical"],
     ],
     ids=[
         "group-without-mul",
@@ -102,6 +150,15 @@ def test_group_check(files):
         "repvar-not-json",
         "repvar-negative-genus",
         "auto-not-json",
+        *(f"bordism-validate-{chain}" for chain in MALFORMED_CHAINS),
+        *(f"invariant-{chain}" for chain in MALFORMED_CHAINS),
+        "quilt-validate-empty-diagram",
+        "quilt-glue-empty-diagram",
+        "quilt-shrink-empty-diagram",
+        "quilt-export-dot-empty-diagram",
+        "compose-point-out-of-range",
+        "compose-point-off-relator",
+        "compose-point-not-canonical",
     ],
 )
 def test_bad_input_exits_1_with_report(files, argv):
@@ -109,6 +166,16 @@ def test_bad_input_exits_1_with_report(files, argv):
     code, out = run(argv)
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_forged_variety_point_is_the_witness(files):
+    code, out = run(
+        ["compose", "--group", files["z2"], files["forged_range"], files["forged_range"]]
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "FloerkitError"
+    assert report["witness"] == repr([7, 7])
 
 
 def test_lagrangian_cyl_without_auto_is_the_diagonal(files):

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from floerkit import io as fio
 from floerkit.bordism import b_circle, canonical_circle
 from floerkit.bordobjects import surface
 from floerkit.errors import (
@@ -10,7 +13,7 @@ from floerkit.errors import (
     NotAStrip,
     NotEmbedded,
 )
-from floerkit.groups import cyclic_group, symmetric_group
+from floerkit.groups import cyclic_group, quaternion_group, symmetric_group
 from floerkit.quilt import (
     GenericMorphism,
     QuiltDiagram,
@@ -274,21 +277,8 @@ def test_shrink_strip_axiom(rels):
 
 
 def test_shrink_annulus(rels):
-    # concentric circles: outer patch with the end, middle annulus, inner disk
-    v = rels["cache"].variety(surface(1))
-    surf = QuiltSurface(
-        {"out": ()},
-        "out",
-        {},
-        circle_seams={"c1": ("f0", "mid"), "c2": ("mid", "core")},
-        end_patch={"out": "f0"},
-    )
     G, S = rels["G"], rels["S"]
-    q = QuiltDiagram(
-        surf,
-        {"f0": v, "mid": v, "core": v},
-        {"c1": G, "c2": S},
-    )
+    q = _annulus(rels)
     assert q.is_valid()
     shrunk = shrink_strip(q, "mid")
     assert shrunk.is_valid()
@@ -469,3 +459,104 @@ def test_glue_welds_matched_loops_into_circle_seam(rels):
             plugged = tuple(y[(j - offset) % k] for j in range(k))
             composed |= quilt_evaluate(q2, {"ein": plugged})
         assert direct == composed
+
+
+# sha256 of io.dumps(diagram_to_json(...)) for each surgery result; shrinks
+# that raise record the error class instead
+SURGERY_DIGESTS = {
+    "zigzag:S3:1": "59de267dd7ac7d8e583a302423eff380496594d374651d06b436ef8b3c6546a8",
+    "zigzag:S3:2": "db9dadc72f4a2b62e42bf5267bf0eca83d1a79ebcbba12863637cf482ae79b56",
+    "zigzag:Q8:1": "a646136d8c43bbfe7e517c4a7781fab9215d8fa5b5a6206f5fbd3e6c77a63abb",
+    "zigzag:Q8:2": "e129b6ee43a732fd5de14c7faa28c1598a1fdb4865101aa371195310a0c52770",
+    "shrink:f0": "b02f1cd880d2a2163113596dc641e0bf2e644f06739c3f564a8e98068f5ffa0e",
+    "shrink:f1": "81f2da0b1e2b4332ea342c59d21ba98c4b35084750fe1439687f7f77e7b69be2",
+    "shrink:f2": "425533bfabad92f1c7bef8d95514746f2404fbd0e69dab432061fefda7070deb",
+    "bubble-weld": "4d6b5570eebcda9c318b3eea00df0da488da988d26173ed497f393468a76d862",
+    "annulus": "f1892236b43b3b56707c468ac8ffad9048ee25151db6708336c0351e3d0249be",
+}
+
+
+def _annulus(rels):
+    """Concentric circles: outer patch with the end, middle annulus, core."""
+    v = rels["cache"].variety(surface(1))
+    surf = QuiltSurface(
+        {"out": ()},
+        "out",
+        {},
+        circle_seams={"c1": ("f0", "mid"), "c2": ("mid", "core")},
+        end_patch={"out": "f0"},
+    )
+    return QuiltDiagram(
+        surf, {"f0": v, "mid": v, "core": v}, {"c1": rels["G"], "c2": rels["S"]}
+    )
+
+
+def test_surgery_output_bytes_pinned(rels):
+    def digest(q):
+        return hashlib.sha256(fio.dumps(fio.diagram_to_json(q)).encode()).hexdigest()
+
+    got = {}
+    for name, group in (("S3", S3), ("Q8", quaternion_group())):
+        cache = rels["cache"] if group is S3 else VarietyCache(group)
+        for genus in (1, 2):
+            Y = relation_of_attach2(group, canonical_circle(genus), cache)
+            zigzag = quilt_glue(cap_diagram(Y), snake_frame_diagram(Y), "aux")
+            got[f"zigzag:{name}:{genus}"] = digest(zigzag)
+    Y = rels["Y"]
+    q = cylinder_diagram([rels["G"], Y, Y.transpose()])
+    for p in q.surface.data()["patches"]:
+        try:
+            got[f"shrink:{p}"] = digest(shrink_strip(q, p))
+        except (NotAStrip, NotEmbedded) as err:
+            got[f"shrink:{p}"] = type(err).__name__
+    got["bubble-weld"] = digest(quilt_glue(*_bubble_pair(rels), "ein"))
+    got["annulus"] = digest(shrink_strip(_annulus(rels), "mid"))
+    assert got == SURGERY_DIGESTS
+
+
+def test_shrink_strip_renames_bare_end_patch(rels):
+    # a bare end on each face of the 4-seam cylinder in turn: shrinking any
+    # other face renumbers the faces, and the bare end must follow its face
+    G = rels["G"]
+    base = cylinder_diagram([G, G.transpose(), G, G.transpose()])
+    s = base.surface
+    faces = s.data()["faces"]
+    assert len(faces) == 4
+    for b, orbit in faces.items():
+        surf = QuiltSurface(
+            {**s.ends, "bare": ()}, "out", s.seams, end_patch={"bare": b}
+        )
+        q = QuiltDiagram(surf, base.patch_labels, base.seam_labels)
+        assert q.is_valid()
+        for p in faces:
+            if p == b:
+                continue
+            shrunk = shrink_strip(q, p)
+            assert shrunk.is_valid(), (b, p)
+            face_of = shrunk.surface.data()["face_of"]
+            assert shrunk.surface.end_patch["bare"] == face_of[orbit[0]], (b, p)
+
+
+def test_evaluate_checks_every_input_before_pinning(rels):
+    # end "in" reads nodes (f0, f2, f0, f1): two seam loops that both touch
+    # f0; "in2" and "out" are bare ends on f0
+    L = rels["Y"]
+    T = geometric_compose(L, L.transpose())
+    M = T.source
+    surf = QuiltSurface(
+        {"in": ("a0", "a1", "b0", "b1"), "in2": (), "out": ()},
+        "out",
+        {"A": ("a0", "a1"), "B": ("b0", "b1")},
+        end_patch={"in2": "f0", "out": "f0"},
+    )
+    q = QuiltDiagram(surf, {"f0": M, "f1": M, "f2": M}, {"A": T, "B": T})
+    assert q.is_valid()
+    assert surf.end_nodes("in") == ("f0", "f2", "f0", "f1")
+    gens = generator_set(q.end_cyclic_chain("in")).tuples
+    clash = next(t for t in gens if t[0] != t[2])
+    agree = next(t for t in gens if t[0] == t[2])
+    # the empty tuple is not an input for the one-node end "in2"
+    for t in (clash, agree):
+        with pytest.raises(InputNotGenerator):
+            quilt_evaluate(q, {"in": t, "in2": ()})
+    assert quilt_evaluate(q, {"in": clash, "in2": (clash[0],)}) == set()

@@ -177,27 +177,16 @@ def relation_bicategory(group, max_pool=64, name=None):
     """
     from .bordobjects import EMPTY, surface
     from .relcat import geometric_compose
-    from .repvar import (
-        VarietyCache,
-        diagonal_relation,
-        relation_of_attach2,
-        relation_of_cyl,
-        relation_of_simple,
-    )
-    from .bordism import CAP0, CAP3, canonical_circle
+    from .repvar import VarietyCache, diagonal_relation, relation_of_simple
+    from .bordism import CAP0, CAP3, attach1, attach2, canonical_circle, cyl
     from .words import dehn_twist_a
 
     cache = VarietyCache(group)
     objs = (EMPTY, surface(0), surface(1))
-    pool = [
-        diagonal_relation(cache.variety(EMPTY)),
-        diagonal_relation(cache.variety(surface(0))),
-        diagonal_relation(cache.variety(surface(1))),
-        relation_of_cyl(group, dehn_twist_a(1), cache),
-        relation_of_attach2(group, canonical_circle(1), cache),
-        relation_of_attach2(group, canonical_circle(1), cache).transpose(),
-        relation_of_simple(group, CAP3, cache),
-        relation_of_simple(group, CAP0, cache),
+    circle = canonical_circle(1)
+    steps = (cyl(dehn_twist_a(1)), attach2(circle), attach1(circle), CAP3, CAP0)
+    pool = [diagonal_relation(cache.variety(obj)) for obj in objs] + [
+        relation_of_simple(group, step, cache) for step in steps
     ]
     pool = list(dict.fromkeys(pool))
 

@@ -277,8 +277,7 @@ def cmd_quilt_eval(args):
     g = _load_group(args)
     cfg = _config(args)
     q = fio.diagram_from_json(g, fio.load_json(args.diagram))
-    raw = fio.load_json(args.inputs)
-    inputs = {e: tuple(tuple(pt) for pt in t) for e, t in raw.items()}
+    inputs = fio.inputs_from_json(fio.load_json(args.inputs))
     out = quilt_evaluate(q, inputs, budget=cfg.budget)
     _emit(
         args,

@@ -26,6 +26,7 @@ from .bordism import (
     b_circle,
     canonical_circle,
     chain,
+    cyl,
 )
 from .bordobjects import EMPTY, surface
 from .errors import BoundaryMismatch, ResourceLimit
@@ -38,7 +39,7 @@ from .relcat import (
     is_embedded,
     relation_chain,
 )
-from .repvar import VarietyCache, diagonal_relation, relation_of_attach2, relation_of_cyl, relation_of_simple
+from .repvar import VarietyCache, diagonal_relation, relation_of_simple
 from .words import builtin_library, crossing_transport, dehn_twist_b, handle_swap
 
 
@@ -228,26 +229,28 @@ def verify_cerf_compatibility(spec: PartialFunctorSpec, genera=(1, 2), transport
     ``status: "fail"``, ``embedded: false`` and a witness
     ``((x, (y, y'), z), None)`` of two intermediates over one composite
     pair, while ``identity`` still records the exact equality.  Failures
-    become report entries, never exceptions.
+    become report entries, never exceptions.  Every relation comes from
+    ``spec.simple_map``, the path closed invariants take, so each circle
+    and transport is built once per spec.
     """
     group = spec.group
-    cache = spec.cache
+    relation = spec.simple_map
     report = []
     for g in genera:
         lib = transports[g] if transports else builtin_library(g)
         rot = crossing_transport(g, 1)
         if g >= 2:
-            l_prime = relation_of_attach2(group, canonical_circle(g - 1), cache)
+            l_prime = relation(attach2(canonical_circle(g - 1)))
         for psi in lib:
             alpha = AttachingCircle(g, psi)
-            l_alpha = relation_of_attach2(group, alpha, cache)
+            l_alpha = relation(attach2(alpha))
 
             # single intersection: alpha against its crossing transport
             beta = AttachingCircle(g, rot.then(psi))
-            l_beta = relation_of_attach2(group, beta, cache)
+            l_beta = relation(attach2(beta))
             emb, wit = is_embedded(l_alpha.transpose(), l_beta)
             comp = geometric_compose(l_alpha.transpose(), l_beta)
-            expected = diagonal_relation(cache.variety(surface(g - 1)))
+            expected = diagonal_relation(spec.object_map(surface(g - 1)))
             ok = emb and comp == expected
             report.append(
                 _entry(
@@ -266,7 +269,7 @@ def verify_cerf_compatibility(spec: PartialFunctorSpec, genera=(1, 2), transport
             if g >= 2:
                 tau = handle_swap(g, 1, 2)
                 beta_d = AttachingCircle(g, tau.then(psi))
-                l_beta_d = relation_of_attach2(group, beta_d, cache)
+                l_beta_d = relation(attach2(beta_d))
 
                 emb1, w1 = is_embedded(l_alpha, l_prime)
                 emb2, w2 = is_embedded(l_beta_d, l_prime)
@@ -314,13 +317,11 @@ def verify_cerf_compatibility(spec: PartialFunctorSpec, genera=(1, 2), transport
         # equivariance: transported circle = cylinder-composed relation,
         # for each pair (psi, phi) of transports, psi varying slowest
         for psi in lib:
-            l_psi = relation_of_attach2(group, AttachingCircle(g, psi), cache)
+            l_psi = relation(attach2(AttachingCircle(g, psi)))
             for phi in lib:
                 transported = AttachingCircle(g, psi.then(phi))
-                lhs = relation_of_attach2(group, transported, cache)
-                rhs = geometric_compose(
-                    relation_of_cyl(group, phi, cache).transpose(), l_psi
-                )
+                lhs = relation(attach2(transported))
+                rhs = geometric_compose(relation(cyl(phi)).transpose(), l_psi)
                 ok = lhs == rhs
                 report.append(
                     _entry(

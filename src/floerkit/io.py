@@ -13,8 +13,6 @@ from .bordism import (
     AttachingCircle,
     CobordismChain,
     SimpleCobordism,
-    attach1,
-    attach2,
     chain,
     cyl,
 )
@@ -27,6 +25,7 @@ from .repvar import (
     VarietyCache,
     canonical_point,
     diagonal_relation,
+    relation_of_simple,
     satisfies_relator,
 )
 from .words import automorphism_from_json, identity_automorphism
@@ -84,14 +83,11 @@ def step_from_json(data):
         return CAP3
     if kind == "cap0":
         return CAP0
-    genus = data["genus"]
     phi = _auto_from_json(data)
     if kind == "cyl":
         return cyl(phi)
-    if kind == "attach2":
-        return attach2(AttachingCircle(genus, phi))
-    if kind == "attach1":
-        return attach1(AttachingCircle(genus, phi))
+    if kind in ("attach2", "attach1"):
+        return SimpleCobordism(kind, circle=AttachingCircle(data["genus"], phi))
     raise FloerkitError(f"unknown step kind {kind!r}")
 
 
@@ -135,9 +131,10 @@ def variety_from_json(group, data):
 
 
 def relation_from_json(group, data):
-    src = variety_from_json(group, data["source"])
-    dst = variety_from_json(group, data["target"])
-    pairs = frozenset((tuple(x), tuple(y)) for x, y in data["pairs"])
+    with _reading("relation"):
+        src = variety_from_json(group, data["source"])
+        dst = variety_from_json(group, data["target"])
+        pairs = frozenset((tuple(x), tuple(y)) for x, y in data["pairs"])
     return FiniteRelation(src, dst, pairs)
 
 
@@ -145,11 +142,14 @@ def relation_from_json(group, data):
 
 
 def presentation_from_json(data):
-    n = data["generators"]
-    relators = tuple(tuple(r) for r in data.get("relators", ()))
+    with _reading("presentation"):
+        n = data["generators"]
+        relators = tuple(tuple(r) for r in data.get("relators", ()))
+    if not isinstance(n, int) or n < 0:
+        raise FloerkitError(f"generators must be a count, got {n!r}", witness=n)
     for r in relators:
         for x in r:
-            if x == 0 or abs(x) > n:
+            if not isinstance(x, int) or x == 0 or abs(x) > n:
                 raise FloerkitError(f"relator letter {x} outside alphabet 1..{n}")
     return n, relators
 
@@ -159,9 +159,9 @@ def presentation_from_json(data):
 
 def label_from_json(group, data, cache=None):
     """Label descriptors: diagonal / cyl / attach2 / attach1 / raw, each
-    optionally wrapped in {"transpose": descriptor}."""
-    from .repvar import relation_of_attach2, relation_of_cyl
-
+    optionally wrapped in {"transpose": descriptor}.  A cyl, attach2 or
+    attach1 descriptor is read as a chain step and gets that step's
+    relation from the cache."""
     cache = cache or VarietyCache(group)
     if "transpose" in data:
         return label_from_json(group, data["transpose"], cache).transpose()
@@ -172,11 +172,7 @@ def label_from_json(group, data, cache=None):
         return relation_from_json(group, data)
     if kind not in ("cyl", "attach2", "attach1"):
         raise FloerkitError(f"unknown label kind {kind!r}")
-    phi = _auto_from_json(data)
-    if kind == "cyl":
-        return relation_of_cyl(group, phi, cache)
-    rel = relation_of_attach2(group, AttachingCircle(data["genus"], phi), cache)
-    return rel if kind == "attach2" else rel.transpose()
+    return relation_of_simple(group, step_from_json(data), cache)
 
 
 def diagram_from_json(group, data):
@@ -203,6 +199,14 @@ def diagram_from_json(group, data):
             for s, lab in data["seam_labels"].items()
         }
     return QuiltDiagram(surface_obj, patch_labels, seam_labels)
+
+
+def inputs_from_json(data):
+    """Quilt-evaluation inputs: end id -> generator tuple of points."""
+    with _reading("quilt inputs"):
+        inputs = {e: tuple(tuple(pt) for pt in t) for e, t in data.items()}
+        hash(tuple(inputs.values()))  # points are looked up in sets
+    return inputs
 
 
 def diagram_to_json(q: QuiltDiagram):
@@ -275,13 +279,14 @@ def diagram_to_json(q: QuiltDiagram):
 def category_from_json(data):
     from .cats import FinCategory
 
-    objects = tuple(data["objects"])
-    morphisms = {f: tuple(sd) for f, sd in data["morphisms"].items()}
-    identity = dict(data["identity"])
-    comp = {(f, g): h for f, g, h in data["composition"]}
-    return FinCategory(
-        objects, morphisms, comp, identity, name=data.get("name", "C")
-    )
+    with _reading("category"):
+        objects = tuple(data["objects"])
+        morphisms = {f: tuple(sd) for f, sd in data["morphisms"].items()}
+        identity = dict(data["identity"])
+        comp = {(f, g): h for f, g, h in data["composition"]}
+        return FinCategory(
+            objects, morphisms, comp, identity, name=data.get("name", "C")
+        )
 
 
 def category_to_json(cat):
@@ -329,15 +334,16 @@ def bicategory_to_json(B):
 def bicategory_from_json(data):
     from .cats import FinBicategory
 
-    h2 = data.get("horizontal_composition_2")
-    return FinBicategory(
-        tuple(data["objects"]),
-        {f: tuple(sd) for f, sd in data["one_morphisms"].items()},
-        {a: tuple(fg) for a, fg in data["two_morphisms"].items()},
-        {(a, b): c for a, b, c in data["vertical_composition"]},
-        dict(data["identity_2cells"]),
-        {(f, g): h for f, g, h in data["horizontal_composition_1"]},
-        None if h2 is None else {(a, b): c for a, b, c in h2},
-        dict(data["weak_units"]),
-        name=data.get("name", "B"),
-    )
+    with _reading("bicategory"):
+        h2 = data.get("horizontal_composition_2")
+        return FinBicategory(
+            tuple(data["objects"]),
+            {f: tuple(sd) for f, sd in data["one_morphisms"].items()},
+            {a: tuple(fg) for a, fg in data["two_morphisms"].items()},
+            {(a, b): c for a, b, c in data["vertical_composition"]},
+            dict(data["identity_2cells"]),
+            {(f, g): h for f, g, h in data["horizontal_composition_1"]},
+            None if h2 is None else {(a, b): c for a, b, c in h2},
+            dict(data["weak_units"]),
+            name=data.get("name", "B"),
+        )

@@ -13,11 +13,16 @@ precomputed fibers {(A,B) : [A,B] = c}, which keeps genus-2 varieties over
 groups of order ~24 at desk scale.  ``enumerate_relator_solutions`` is the
 one enumeration kernel: the variety canonicalises it slice by slice of the
 first handle pair, and the 2-handle relation reads the slice A_1 = e.
+
+``relation_of_simple`` is the one way from a simple cobordism to its
+relation: it builds each relation once per ``VarietyCache``, and the
+relations pair the point tuples their varieties already store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bordobjects import BordObject, EMPTY, surface
 from .errors import EndpointMismatch, GenusMismatch, ResourceLimit
@@ -114,11 +119,14 @@ class RepVariety:
     def genus(self):
         return self.obj.genus if self.obj.is_surface else 0
 
-    def index(self, point):
-        return self.points.index(point)
+    @cached_property
+    def stored(self):
+        """Point -> the tuple of ``points`` equal to it, built once; relations
+        pair these tuples, so a memoized relation holds no copies of them."""
+        return {p: p for p in self.points}
 
     def __contains__(self, point):
-        return point in set(self.points)
+        return point in self.stored
 
     def __len__(self):
         return len(self.points)
@@ -179,8 +187,8 @@ class FiniteRelation:
     pairs: frozenset
 
     def __post_init__(self):
-        src = set(self.source.points)
-        dst = set(self.target.points)
+        src = self.source.stored
+        dst = self.target.stored
         for x, y in self.pairs:
             if x not in src or y not in dst:
                 raise EndpointMismatch(
@@ -245,15 +253,19 @@ def diagonal_relation(variety):
 # -- images of simple cobordisms -------------------------------------------
 
 class VarietyCache:
-    """Memoizes varieties and relations for one working group."""
+    """Varieties and simple-cobordism relations for one working group.
+
+    Each variety is enumerated once and each relation built once, by
+    ``relation_of_simple``, for as long as the cache lives; nothing is
+    evicted.
+    """
 
     def __init__(self, group, budget=None, workers=1):
         self.group = group
         self.budget = budget
         self.workers = workers
         self._varieties = {}
-        self._cyl = {}
-        self._attach = {}
+        self._relations = {}  # step.syntactic_key() -> FiniteRelation
 
     def variety(self, obj):
         if obj not in self._varieties:
@@ -271,10 +283,13 @@ def relation_of_cyl(group, phi, cache=None):
     """
     cache = cache or VarietyCache(group)
     v = cache.variety(surface(phi.genus))
+    stored = v.stored
     pairs = set()
     for p in v.points:
-        image = tuple(eval_word(w, p, group) for w in phi.inverse_images)
-        pairs.add((p, canonical_point(group, image)))
+        image = canonical_point(
+            group, tuple(eval_word(w, p, group) for w in phi.inverse_images)
+        )
+        pairs.add((p, stored.get(image, image)))
     rel = FiniteRelation(v, v, frozenset(pairs))
     if not rel.is_graph_of_bijection():
         raise GenusMismatch(
@@ -296,16 +311,17 @@ def relation_of_attach2(group, circle, cache=None):
     psi = circle.psi
     src = cache.variety(surface(g))
     dst = cache.variety(surface(g - 1))
+    src_stored, dst_stored = src.stored, dst.stored
     pairs = set()
     a1_is_e = [((0, b), 0) for b in range(group.order)]  # [e, b] = e
     for sigma in enumerate_relator_solutions(
         group, g, budget=cache.budget, first=a1_is_e
     ):
-        source_tup = tuple(eval_word(w, sigma, group) for w in psi.inverse_images)
-        target_tup = sigma[2:]
-        pairs.add(
-            (canonical_point(group, source_tup), canonical_point(group, target_tup))
+        x = canonical_point(
+            group, tuple(eval_word(w, sigma, group) for w in psi.inverse_images)
         )
+        y = canonical_point(group, sigma[2:])
+        pairs.add((src_stored.get(x, x), dst_stored.get(y, y)))
     return FiniteRelation(src, dst, frozenset(pairs))
 
 
@@ -332,31 +348,29 @@ def relation_of_attach2_direct(group, circle, cache=None):
 
 
 def relation_of_simple(group, step, cache=None):
-    """Relation of one simple cobordism (dispatch on the step kind)."""
+    """Relation of one simple cobordism, built once per cache.
+
+    Cylinders and 2-handles are built by ``relation_of_cyl`` and
+    ``relation_of_attach2``, Cap3 directly; a 1-handle or Cap0 is the
+    transpose of its adjoint's relation.  Every caller that needs the
+    relation of a step asks here, so the cache holds one copy of each.
+    """
     cache = cache or VarietyCache(group)
-    kind = step.kind
-    if kind == "cyl":
-        key = ("cyl", step.phi)
-        if key not in cache._cyl:
-            cache._cyl[key] = relation_of_cyl(group, step.phi, cache)
-        return cache._cyl[key]
-    if kind == "attach2":
-        key = ("a2", step.circle)
-        if key not in cache._attach:
-            cache._attach[key] = relation_of_attach2(group, step.circle, cache)
-        return cache._attach[key]
-    if kind == "attach1":
-        key = ("a1", step.circle)
-        if key not in cache._attach:
-            self_rel = relation_of_attach2(group, step.circle, cache)
-            cache._attach[key] = self_rel.transpose()
-        return cache._attach[key]
-    if kind == "cap3":
-        v0 = cache.variety(surface(0))
-        ve = cache.variety(EMPTY)
-        return FiniteRelation(v0, ve, frozenset({((), ())}))
-    if kind == "cap0":
-        v0 = cache.variety(surface(0))
-        ve = cache.variety(EMPTY)
-        return FiniteRelation(ve, v0, frozenset({((), ())}))
-    raise GenusMismatch(f"unknown simple cobordism kind {kind!r}")
+    memo = cache._relations
+    # The images fix the automorphism of pi_1, so steps with one syntactic
+    # key have one relation; the key keeps no automorphism objects alive.
+    key = step.syntactic_key()
+    if key not in memo:
+        kind = step.kind
+        if kind == "cyl":
+            rel = relation_of_cyl(group, step.phi, cache)
+        elif kind == "attach2":
+            rel = relation_of_attach2(group, step.circle, cache)
+        elif kind == "cap3":
+            rel = FiniteRelation(
+                cache.variety(surface(0)), cache.variety(EMPTY), frozenset({((), ())})
+            )
+        else:  # attach1, cap0
+            rel = relation_of_simple(group, step.adjoint(), cache).transpose()
+        memo[key] = rel
+    return memo[key]

@@ -37,21 +37,13 @@ def invert_word(letters):
 
 
 def concat(*parts):
-    out = []
-    for p in parts:
-        for x in p:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    return reduce_word(x for p in parts for x in p)
 
 
 def cyclic_reduce(letters):
     w = list(reduce_word(letters))
-    pre = []
     while len(w) >= 2 and w[0] == -w[-1]:
-        pre.append(w.pop(0))
+        w.pop(0)
         w.pop()
     return tuple(w)
 
@@ -484,37 +476,30 @@ def crossing_transport(genus, handle=1):
     return SurfaceAutomorphism(genus, tuple(imgs), tuple(invs), name=f"rot{handle}_{genus}")
 
 
+def _dehn_twist(genus, moved, along, power, name):
+    """Generator ``moved`` -> moved * along^power, every other one fixed."""
+    letter = along if power >= 0 else -along
+
+    def images(x):
+        return tuple(
+            (k,) + (x,) * abs(power) if k == moved else (k,)
+            for k in range(1, 2 * genus + 1)
+        )
+
+    return SurfaceAutomorphism(genus, images(letter), images(-letter), name=name)
+
+
 def dehn_twist_a(genus, handle=1, power=1):
     """Dehn twist along a_handle: b -> b a^power, everything else fixed."""
-    a, b = gen_a(handle), gen_b(handle)
-    imgs = []
-    invs = []
-    for k in range(1, 2 * genus + 1):
-        if k == b:
-            imgs.append((b,) + (a,) * power if power >= 0 else (b,) + (-a,) * (-power))
-            invs.append((b,) + (-a,) * power if power >= 0 else (b,) + (a,) * (-power))
-        else:
-            imgs.append((k,))
-            invs.append((k,))
-    return SurfaceAutomorphism(
-        genus, tuple(imgs), tuple(invs), name=f"Ta{handle}^{power}_{genus}"
+    return _dehn_twist(
+        genus, gen_b(handle), gen_a(handle), power, f"Ta{handle}^{power}_{genus}"
     )
 
 
 def dehn_twist_b(genus, handle=1, power=1):
     """Dehn twist along b_handle: a -> a b^power."""
-    a, b = gen_a(handle), gen_b(handle)
-    imgs = []
-    invs = []
-    for k in range(1, 2 * genus + 1):
-        if k == a:
-            imgs.append((a,) + (b,) * power if power >= 0 else (a,) + (-b,) * (-power))
-            invs.append((a,) + (-b,) * power if power >= 0 else (a,) + (b,) * (-power))
-        else:
-            imgs.append((k,))
-            invs.append((k,))
-    return SurfaceAutomorphism(
-        genus, tuple(imgs), tuple(invs), name=f"Tb{handle}^{power}_{genus}"
+    return _dehn_twist(
+        genus, gen_a(handle), gen_b(handle), power, f"Tb{handle}^{power}_{genus}"
     )
 
 

@@ -20,6 +20,9 @@ from floerkit.repvar import (
     satisfies_relator,
 )
 from floerkit.bordism import canonical_circle
+from floerkit.catgen import poset_category
+from floerkit.cats import bicategory_with_identity_2cells
+from floerkit.io import bicategory_to_json, category_to_json
 from floerkit.words import dehn_twist_a
 
 
@@ -64,6 +67,17 @@ def files(tmp_path_factory):
     off_canonical = next(
         p for p in pairs if satisfies_relator(s3, p) and canonical_point(s3, p) != p
     )
+
+    def relation_with(**fields):
+        # the attach relation with some fields replaced (None drops one)
+        data = {**rel_a.to_json(), **fields}
+        return {k: v for k, v in data.items() if v is not None}
+
+    two = poset_category(lambda x, y: x <= y, (0, 1), name="two")
+    cat_short_row = category_to_json(two)
+    cat_short_row["composition"][0] = cat_short_row["composition"][0][:1]
+    bic_short_row = bicategory_to_json(bicategory_with_identity_2cells(two))
+    bic_short_row["vertical_composition"][0] = bic_short_row["vertical_composition"][0][:1]
     return {
         "nonjson": str(nonjson),
         "nomul": write("nomul.json", {"bad": 1}),
@@ -93,6 +107,28 @@ def files(tmp_path_factory):
         "forged_canonical": write(
             "forged_canonical.json", forged(s3, list(off_canonical))
         ),
+        "rel_nopairs": write("rel_nopairs.json", relation_with(pairs=None)),
+        "rel_short_pair": write("rel_short_pair.json", relation_with(pairs=[[[0, 0]]])),
+        "rel_int_pair": write("rel_int_pair.json", relation_with(pairs=[[1, 2]])),
+        "rel_nested_pair": write(
+            "rel_nested_pair.json", relation_with(pairs=[[[0, [0]], [0, 0]]])
+        ),
+        "rel_nosource": write("rel_nosource.json", relation_with(source=None)),
+        "rel_list": write("rel_list.json", [rel_a.to_json()]),
+        "pres_empty": write("pres_empty.json", {}),
+        "pres_string_count": write(
+            "pres_string_count.json", {"generators": "a", "relators": [[1]]}
+        ),
+        "pres_list": write("pres_list.json", [1]),
+        "pres_string_relator": write(
+            "pres_string_relator.json", {"generators": 1, "relators": ["ab"]}
+        ),
+        "cat_empty": write("cat_empty.json", {}),
+        "cat_list": write("cat_list.json", [1]),
+        "cat_short_row": write("cat_short_row.json", cat_short_row),
+        "bic_short_row": write("bic_short_row.json", bic_short_row),
+        "inputs_list": write("inputs_list.json", [1]),
+        "inputs_int": write("inputs_int.json", {"e0": 5}),
     }
 
 
@@ -120,6 +156,24 @@ MALFORMED_CHAINS = (
     "chain_nokind",
     "chain_noimages",
 )
+MALFORMED_RELATIONS = (
+    "rel_nopairs",
+    "rel_short_pair",
+    "rel_int_pair",
+    "rel_nested_pair",
+    "rel_nosource",
+    "rel_list",
+)
+MALFORMED_PRESENTATIONS = (
+    "pres_empty",
+    "pres_string_count",
+    "pres_list",
+    "pres_string_relator",
+)
+MALFORMED_CATEGORIES = (
+    *(("--category", name) for name in ("cat_empty", "cat_list", "cat_short_row")),
+    *(("--bicategory", name) for name in ("cat_empty", "cat_list", "bic_short_row")),
+)
 
 
 @pytest.mark.parametrize(
@@ -142,6 +196,14 @@ MALFORMED_CHAINS = (
         ["compose", "--group", "z2", "forged_range", "forged_range"],
         ["compose", "--group", "s3", "forged_relator", "forged_relator"],
         ["compose", "--group", "s3", "forged_canonical", "forged_canonical"],
+        *(["compose", "--group", "s3", rel, "rel_a"] for rel in MALFORMED_RELATIONS),
+        *(["embedded", "--group", "s3", "rel_a", rel] for rel in MALFORMED_RELATIONS),
+        *(["generators", "--group", "s3", "--cyclic", rel] for rel in MALFORMED_RELATIONS),
+        *(["oracle", "--group", "s3", "--presentation", pres]
+          for pres in MALFORMED_PRESENTATIONS),
+        *(["cat-validate", flag, name] for flag, name in MALFORMED_CATEGORIES),
+        *(["quilt-eval", "--group", "s3", "--diagram", "diagram", "--inputs", inputs]
+          for inputs in ("inputs_list", "inputs_int")),
     ],
     ids=[
         "group-without-mul",
@@ -159,6 +221,13 @@ MALFORMED_CHAINS = (
         "compose-point-out-of-range",
         "compose-point-off-relator",
         "compose-point-not-canonical",
+        *(f"compose-{rel}" for rel in MALFORMED_RELATIONS),
+        *(f"embedded-{rel}" for rel in MALFORMED_RELATIONS),
+        *(f"generators-{rel}" for rel in MALFORMED_RELATIONS),
+        *(f"oracle-{pres}" for pres in MALFORMED_PRESENTATIONS),
+        *(f"cat-validate{flag[1:]}-{name}" for flag, name in MALFORMED_CATEGORIES),
+        "quilt-eval-inputs-list",
+        "quilt-eval-inputs-int",
     ],
 )
 def test_bad_input_exits_1_with_report(files, argv):

@@ -1,4 +1,10 @@
+import hashlib
+import sys
+
 import pytest
+
+from floerkit import io as fio
+from floerkit import repvar
 
 from floerkit.bordism import (
     CAP0,
@@ -222,3 +228,50 @@ def test_cerf_related_images_are_chain_equivalent():
     # and back, through the recorded factorization
     back = chain_equivalent(img2, img1, depth=2, registry=registry)
     assert back == [("factor", 0)]
+
+
+def count_builds(monkeypatch, name):
+    """Count calls of repvar's ``name`` from every floerkit module that
+    holds it, whatever name it was imported under."""
+    original = getattr(repvar, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("floerkit"):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_cerf_suite_builds_each_relation_once(monkeypatch):
+    attach = count_builds(monkeypatch, "relation_of_attach2")
+    cylinders = count_builds(monkeypatch, "relation_of_cyl")
+    report = verify_cerf_compatibility(PartialFunctorSpec(S3), genera=(1, 2))
+    assert len(report) == (5 + 5 * 5) + (3 * 7 + 7 * 7)
+    assert len(attach) == len(set(attach)) == 53
+    assert len(cylinders) == len(set(cylinders)) == 12
+
+
+# sha256 of io.dumps(verify_cerf_compatibility(PartialFunctorSpec(G)))
+# at genus 1-2, taken before the relations were memoized per spec
+CERF_REPORT_SHA256 = {
+    "Z2": "4effb6ec09f5b075db85e22ecb3b274a799aa68875ea33e4bf829dcf4e07f724",
+    "Z3": "7362b2e4bde70908d58580a39b7123d19560a33a069e2e8be27ced52ea98e634",
+    "Z4": "d94e64930f0f504988a708948855f8970ed562f0c0ad89c501afff88f7409bc5",
+    "S3": "4012e728c23249ef25c9f6c924cd2c39150648fa3e1dfc0d8d726ea7af82bb9e",
+    "Q8": "fd6ac8e37ac32a386b2a06165954aec8baa3c2266a325809f053432750e91278",
+}
+
+
+@pytest.mark.parametrize(
+    "group", [Z2, Z3, cyclic_group(4), S3, Q8], ids=lambda g: g.name
+)
+def test_cerf_report_bytes_pinned(group):
+    report = verify_cerf_compatibility(PartialFunctorSpec(group), genera=(1, 2))
+    digest = hashlib.sha256(fio.dumps(report).encode()).hexdigest()
+    assert digest == CERF_REPORT_SHA256[group.name]

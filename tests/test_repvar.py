@@ -3,10 +3,12 @@ import itertools
 import pytest
 
 from floerkit.bordism import AttachingCircle, b_circle, canonical_circle, cyl, CAP0, CAP3, attach1, attach2
-from floerkit import parallel
+from floerkit import io as fio
+from floerkit import parallel, repvar
 from floerkit.bordobjects import EMPTY, surface
 from floerkit.errors import ResourceLimit
 from floerkit.groups import cyclic_group, quaternion_group, symmetric_group
+from floerkit.quilt import cylinder_diagram
 from floerkit.relcat import geometric_compose
 from floerkit.repvar import (
     VarietyCache,
@@ -261,3 +263,71 @@ def test_cyl_relation_via_simple_dispatch():
     cache = VarietyCache(Z3)
     rel = relation_of_simple(Z3, cyl(dehn_twist_a(1)), cache)
     assert rel.is_graph_of_bijection()
+
+
+def count_calls(monkeypatch, name):
+    """Replace repvar's ``name`` by a wrapper counting its calls."""
+    calls = []
+    original = getattr(repvar, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(repvar, name, counted)
+    return calls
+
+
+def test_attach1_reuses_the_attach2_entry(monkeypatch):
+    cache = VarietyCache(S3)
+    c = canonical_circle(2)
+    builds = count_calls(monkeypatch, "relation_of_attach2")
+    r2 = relation_of_simple(S3, attach2(c), cache)
+    r1 = relation_of_simple(S3, attach1(c), cache)
+    assert len(builds) == 1
+    assert r1 == r2.transpose()
+    assert relation_of_simple(S3, attach2(c), cache) is r2
+    assert relation_of_simple(S3, attach1(c), cache) is r1
+    assert len(builds) == 1
+
+
+def test_relations_pair_the_stored_point_tuples():
+    cache = VarietyCache(S3)
+    for rel in (
+        relation_of_attach2(S3, b_circle(2), cache),
+        relation_of_cyl(S3, dehn_twist_a(2, 2), cache),
+    ):
+        for variety, side in ((rel.source, 0), (rel.target, 1)):
+            stored = {p: p for p in variety.points}
+            assert all(pair[side] is stored[pair[side]] for pair in rel.pairs)
+
+
+def test_diagram_labels_with_one_descriptor_build_it_once(monkeypatch):
+    cache = VarietyCache(S3)
+    Y = relation_of_attach2(S3, canonical_circle(1), cache)
+    data = fio.diagram_to_json(cylinder_diagram([Y, Y.transpose()]))
+    descriptor = {
+        "kind": "attach2",
+        "genus": 1,
+        "auto": identity_automorphism(1).to_json(),
+    }
+    labels = {}
+    for seam, raw in data["seam_labels"].items():
+        lab = fio.label_from_json(S3, raw)
+        assert lab in (Y, Y.transpose())
+        labels[seam] = descriptor if lab == Y else {"transpose": descriptor}
+    assert list(labels.values()).count(descriptor) == 1
+    data["seam_labels"] = labels
+    builds = count_calls(monkeypatch, "relation_of_attach2")
+    q = fio.diagram_from_json(S3, data)
+    assert len(builds) == 1
+    assert all(e["status"] == "pass" for e in q.validate())
+    assert sorted(map(len, q.seam_labels.values())) == [len(Y), len(Y)]
+
+
+def test_variety_membership_by_stored_points():
+    v = repvariety(S3, surface(1))
+    assert all(p in v for p in v.points)
+    outside = set(itertools.product(range(S3.order), repeat=2)) - set(v.points)
+    assert not any(p in v for p in outside)
+    assert not hasattr(v, "index")

@@ -24,7 +24,6 @@ from .errors import BoundaryMismatch, GenusMismatch, MoveNotApplicable
 from .words import (
     SurfaceAutomorphism,
     abelianization,
-    builtin_library,
     crossing_transport,
     handle_swap,
     identity_automorphism,
@@ -440,19 +439,15 @@ class CerfRegistry:
     """Automorphism seeds for the generative move directions (splits,
     cylinder extractions, critical point creations)."""
 
-    def __init__(self, autos_by_genus=None, generous=False):
-        self._table = dict(autos_by_genus or {})
-        self.generous = generous
+    def __init__(self):
+        self._table = {}
 
     def autos(self, genus):
         if genus not in self._table:
-            if self.generous:
-                self._table[genus] = tuple(builtin_library(genus))
-            else:
-                lib = [identity_automorphism(genus)]
-                if genus >= 1:
-                    lib.append(crossing_transport(genus, 1))
-                self._table[genus] = tuple(lib)
+            lib = [identity_automorphism(genus)]
+            if genus >= 1:
+                lib.append(crossing_transport(genus, 1))
+            self._table[genus] = tuple(lib)
         return self._table[genus]
 
 

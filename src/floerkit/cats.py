@@ -126,15 +126,6 @@ class FinCategory:
             f"{len(self.morphisms)} morphisms)"
         )
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "objects": list(self.objects),
-            "morphisms": {str(f): [s, d] for f, (s, d) in self.morphisms.items()},
-            "identity": {str(x): self.identity[x] for x in self.objects},
-            "composition": [[f, g, h] for (f, g), h in self.comp.items()],
-        }
-
 
 def discrete_category(objects, name="discrete"):
     morphisms = {("id", x): (x, x) for x in objects}
@@ -474,7 +465,7 @@ class FinBicategory:
             i = self.id2.get(f)
             if i not in self.two or self.two[i] != (f, f):
                 raise CategoryMismatch(f"missing identity 2-cell at {f!r}", witness=f)
-        starting, leaving, _ = self._by_source()
+        starting, leaving, two_from = self._by_source()
         two, vcomp = self.two, self.vcomp
         composable = {(a, b) for a, (_, g) in two.items() for b, _ in leaving[g]}
         if set(vcomp) != composable:
@@ -513,6 +504,19 @@ class FinBicategory:
                 raise CategoryMismatch(
                     "horizontal composite mistyped", witness=(f, g)
                 )
+        if self.hcomp2 is not None:
+            # counted, not collected into a set: the table can be large
+            composable2 = 0
+            for a, (fa, _) in two.items():
+                for b in two_from[self.one[fa][1]]:
+                    if self.hcomp2.get((a, b)) not in two:
+                        raise CategoryMismatch(
+                            "horizontal 2-composite missing or not a 2-cell",
+                            witness=(a, b),
+                        )
+                    composable2 += 1
+            if len(self.hcomp2) != composable2:
+                raise CategoryMismatch("horizontal 2-composition domain mismatch")
 
     def _by_source(self):
         """Cells indexed by where they start, each list in table order.

@@ -1,21 +1,26 @@
 """Unified command line: validation, enumeration, invariants, rewriting,
 and diagram operations, all with deterministic JSON output.
 
-Exit codes: 0 success, 1 a check failed (a JSON report is still printed),
-2 usage errors.  Worker count comes from --workers, falling back to the
-FLOERKIT_THREADS environment variable; outputs are byte-identical for
-every worker count.
+Every subcommand returns ``(exit code, payload)``: JSON-able data, or DOT
+text for quilt-export-dot.  ``dispatch`` is the one output path.  It
+checks the shared flags, turns a FloerkitError into a JSON report,
+serializes the payload and writes it to --output or stdout.
+
+Exit codes: 0 success, 1 a check failed (a JSON report is still written),
+2 usage errors and paths that cannot be opened or written (one
+``error:`` line on stderr).  Worker count comes from --workers, falling
+back to the FLOERKIT_THREADS environment variable; outputs are
+byte-identical for every worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import io as fio
 from .bordism import CerfRegistry, cerf_connected, cerf_neighbors
-from .errors import FloerkitError
+from .errors import CategoryMismatch, FloerkitError, IllFormedQuotient, LabelMismatch
 from .fieldfun import (
     PartialFunctorSpec,
     closed_invariant,
@@ -30,40 +35,33 @@ from .repvar import VarietyCache, repvariety
 from .bordobjects import surface
 
 DEFAULT_BUDGET = 10 ** 8
-
-
-@dataclass
-class RunConfig:
-    workers: int = 1
-    budget: int = DEFAULT_BUDGET
-    depth: int = 4
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise FloerkitError("budget must be positive")
-        if self.depth < 0:
-            raise FloerkitError("depth must be non-negative")
-
-
-def _emit(args, text):
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+LABEL_CHECKS = ("patches labeled by objects", "seams labeled by 1-morphisms")
 
 
 def _load_group(args):
     return group_from_json(fio.load_json(args.group))
 
 
-def _config(args):
-    depth = getattr(args, "depth", None)
-    return RunConfig(
-        workers=effective_workers(args.workers),
-        budget=args.budget,
-        depth=4 if depth is None else depth,
-    )
+def _load_relations(g, paths):
+    return [fio.relation_from_json(g, fio.load_json(p)) for p in paths]
+
+
+def _load_labeled_diagram(g, path):
+    """The diagram in a file, refused with the failing entries of its
+    validation report when a patch or seam has no label."""
+    q = fio.diagram_from_json(g, fio.load_json(path))
+    failed = [e for e in q.validate() if e["status"] == "fail"]
+    if any(e["check"] in LABEL_CHECKS for e in failed):
+        raise LabelMismatch("quilt diagram has unlabeled patches or seams", witness=failed)
+    return q
+
+
+def _tuples(gens):
+    return [[list(pt) for pt in t] for t in gens.tuples]
+
+
+def _passed(report):
+    return 0 if all(e["status"] == "pass" for e in report) else 1
 
 
 # -- command implementations ---------------------------------------------------
@@ -73,56 +71,40 @@ def cmd_group_check(args):
     try:
         g = _load_group(args)
     except FloerkitError as err:
-        _emit(args, fio.dumps({"error": type(err).__name__, "witness": err.witness}))
-        return 1
-    _emit(
-        args,
-        fio.dumps(
-            {
-                "name": g.name,
-                "order": g.order,
-                "abelian": g.is_abelian(),
-                "conjugacy_classes": [list(c) for c in g.conjugacy_classes],
-            }
-        ),
-    )
-    return 0
+        return 1, {"error": type(err).__name__, "witness": err.witness}
+    return 0, {
+        "name": g.name,
+        "order": g.order,
+        "abelian": g.is_abelian(),
+        "conjugacy_classes": [list(c) for c in g.conjugacy_classes],
+    }
 
 
 def cmd_repvar(args):
     g = _load_group(args)
-    cfg = _config(args)
-    v = repvariety(g, surface(args.genus), budget=cfg.budget, workers=cfg.workers)
-    _emit(args, fio.dumps(v.to_json()))
-    return 0
+    v = repvariety(g, surface(args.genus), budget=args.budget, workers=args.workers)
+    return 0, v.to_json()
 
 
 def cmd_lagrangian(args):
     g = _load_group(args)
-    cfg = _config(args)
-    cache = VarietyCache(g, budget=cfg.budget, workers=cfg.workers)
+    cache = VarietyCache(g, budget=args.budget, workers=args.workers)
     descriptor = {"kind": args.kind, "genus": args.genus}
     if args.auto:
         descriptor["auto"] = fio.load_json(args.auto)
-    rel = fio.label_from_json(g, descriptor, cache)
-    _emit(args, fio.dumps(rel.to_json()))
-    return 0
+    return 0, fio.label_from_json(g, descriptor, cache).to_json()
 
 
 def cmd_compose(args):
-    g = _load_group(args)
-    rels = [fio.relation_from_json(g, fio.load_json(p)) for p in args.relations]
+    rels = _load_relations(_load_group(args), args.relations)
     acc = rels[0]
     for rel in rels[1:]:
         acc = geometric_compose(acc, rel)
-    _emit(args, fio.dumps(acc.to_json()))
-    return 0
+    return 0, acc.to_json()
 
 
 def cmd_embedded(args):
-    g = _load_group(args)
-    a = fio.relation_from_json(g, fio.load_json(args.relations[0]))
-    b = fio.relation_from_json(g, fio.load_json(args.relations[1]))
+    a, b = _load_relations(_load_group(args), args.relations)
     flag, witness = is_embedded(a, b)
     report = {"embedded": flag}
     if witness is not None:
@@ -131,171 +113,101 @@ def cmd_embedded(args):
             "pair": [list(x), list(z)],
             "intermediates": [list(y1), list(y2)],
         }
-    _emit(args, fio.dumps(report))
-    return 0 if flag else 1
+    return (0 if flag else 1), report
 
 
 def cmd_generators(args):
     if not args.cyclic:
         raise FloerkitError("generator sets are defined for cyclic chains; pass --cyclic")
-    g = _load_group(args)
-    cfg = _config(args)
-    rels = [fio.relation_from_json(g, fio.load_json(p)) for p in args.relations]
-    gens = generator_set(CyclicChain(tuple(rels)), budget=cfg.budget)
-    _emit(
-        args,
-        fio.dumps(
-            {
-                "count": len(gens),
-                "tuples": [[list(pt) for pt in t] for t in gens.tuples],
-            }
-        ),
-    )
-    return 0
+    rels = _load_relations(_load_group(args), args.relations)
+    gens = generator_set(CyclicChain(tuple(rels)), budget=args.budget)
+    return 0, {"count": len(gens), "tuples": _tuples(gens)}
 
 
 def cmd_invariant(args):
     g = _load_group(args)
-    cfg = _config(args)
     c = fio.chain_from_json(fio.load_json(args.chain))
-    spec = PartialFunctorSpec(g, budget=cfg.budget)
-    spec.cache.workers = cfg.workers
-    gens, count = closed_invariant(spec, c, budget=cfg.budget)
-    _emit(
-        args,
-        fio.dumps(
-            {
-                "count": count,
-                "generators": [[list(pt) for pt in t] for t in gens.tuples],
-            }
-        ),
-    )
-    return 0
+    spec = PartialFunctorSpec(g, budget=args.budget, workers=args.workers)
+    gens, count = closed_invariant(spec, c, budget=args.budget)
+    return 0, {"count": count, "generators": _tuples(gens)}
 
 
 def cmd_verify_cerf(args):
-    g = _load_group(args)
-    cfg = _config(args)
-    spec = PartialFunctorSpec(g, budget=cfg.budget)
-    spec.cache.workers = cfg.workers
+    spec = PartialFunctorSpec(_load_group(args), budget=args.budget, workers=args.workers)
     genera = tuple(args.genus) if args.genus else (1, 2)
     report = verify_cerf_compatibility(spec, genera=genera)
-    _emit(args, fio.dumps(report))
-    return 0 if all(e["status"] == "pass" for e in report) else 1
+    return _passed(report), report
 
 
 def cmd_oracle(args):
     g = _load_group(args)
-    cfg = _config(args)
     n, relators = fio.presentation_from_json(fio.load_json(args.presentation))
-    count = presentation_oracle(g, n, relators, budget=cfg.budget)
-    _emit(args, fio.dumps({"count": count}))
-    return 0
+    return 0, {"count": presentation_oracle(g, n, relators, budget=args.budget)}
 
 
 def cmd_bordism_validate(args):
     try:
         c = fio.chain_from_json(fio.load_json(args.chain))
     except FloerkitError as err:
-        _emit(args, fio.dumps({"valid": False, "error": str(err)}))
-        return 1
-    _emit(
-        args,
-        fio.dumps(
-            {
-                "valid": True,
-                "source": c.source.to_json(),
-                "target": c.target.to_json(),
-                "steps": len(c),
-            }
-        ),
-    )
-    return 0
+        return 1, {"valid": False, "error": str(err)}
+    return 0, {
+        "valid": True,
+        "source": c.source.to_json(),
+        "target": c.target.to_json(),
+        "steps": len(c),
+    }
 
 
 def cmd_bordism_neighbors(args):
     c = fio.chain_from_json(fio.load_json(args.chain))
-    moves = cerf_neighbors(c, CerfRegistry())
-    _emit(
-        args,
-        fio.dumps(
-            [
-                {"kind": m.kind, "position": m.pos, "result": fio.chain_to_json(r)}
-                for m, r in moves
-            ]
-        ),
-    )
-    return 0
+    return 0, [
+        {"kind": m.kind, "position": m.pos, "result": fio.chain_to_json(r)}
+        for m, r in cerf_neighbors(c, CerfRegistry())
+    ]
 
 
 def cmd_bordism_connect(args):
-    cfg = _config(args)
     c1 = fio.chain_from_json(fio.load_json(args.chain))
     c2 = fio.chain_from_json(fio.load_json(args.to))
-    path = cerf_connected(c1, c2, depth=cfg.depth)
+    path = cerf_connected(c1, c2, depth=args.depth)
     if path is None:
-        _emit(args, fio.dumps({"connected": False, "depth": cfg.depth}))
-        return 1
-    _emit(
-        args,
-        fio.dumps(
-            {
-                "connected": True,
-                "moves": [{"kind": m.kind, "position": m.pos} for m in path],
-            }
-        ),
-    )
-    return 0
+        return 1, {"connected": False, "depth": args.depth}
+    return 0, {
+        "connected": True,
+        "moves": [{"kind": m.kind, "position": m.pos} for m in path],
+    }
 
 
 def cmd_quilt_validate(args):
-    g = _load_group(args)
-    q = fio.diagram_from_json(g, fio.load_json(args.diagram))
+    q = fio.diagram_from_json(_load_group(args), fio.load_json(args.diagram))
     report = q.validate()
-    _emit(args, fio.dumps(report))
-    return 0 if all(e["status"] == "pass" for e in report) else 1
+    return _passed(report), report
 
 
 def cmd_quilt_glue(args):
     g = _load_group(args)
-    q1 = fio.diagram_from_json(g, fio.load_json(args.first))
-    q2 = fio.diagram_from_json(g, fio.load_json(args.second))
-    glued = quilt_glue(q1, q2, args.end)
-    _emit(args, fio.dumps(fio.diagram_to_json(glued)))
-    return 0
+    q1 = _load_labeled_diagram(g, args.first)
+    q2 = _load_labeled_diagram(g, args.second)
+    return 0, fio.diagram_to_json(quilt_glue(q1, q2, args.end))
 
 
 def cmd_quilt_shrink(args):
-    g = _load_group(args)
-    q = fio.diagram_from_json(g, fio.load_json(args.diagram))
-    shrunk = shrink_strip(q, args.patch)
-    _emit(args, fio.dumps(fio.diagram_to_json(shrunk)))
-    return 0
+    q = _load_labeled_diagram(_load_group(args), args.diagram)
+    return 0, fio.diagram_to_json(shrink_strip(q, args.patch))
 
 
 def cmd_quilt_eval(args):
-    g = _load_group(args)
-    cfg = _config(args)
-    q = fio.diagram_from_json(g, fio.load_json(args.diagram))
+    q = _load_labeled_diagram(_load_group(args), args.diagram)
     inputs = fio.inputs_from_json(fio.load_json(args.inputs))
-    out = quilt_evaluate(q, inputs, budget=cfg.budget)
-    _emit(
-        args,
-        fio.dumps({"outputs": sorted([list(pt) for pt in t] for t in out)}),
-    )
-    return 0
+    out = quilt_evaluate(q, inputs, budget=args.budget)
+    return 0, {"outputs": sorted([list(pt) for pt in t] for t in out)}
 
 
 def cmd_quilt_export_dot(args):
-    g = _load_group(args)
-    q = fio.diagram_from_json(g, fio.load_json(args.diagram))
-    _emit(args, export_dot(q))
-    return 0
+    return 0, export_dot(_load_labeled_diagram(_load_group(args), args.diagram))
 
 
 def cmd_cat_validate(args):
-    from .errors import CategoryMismatch
-
     if not args.category and not args.bicategory:
         raise FloerkitError("need --category or --bicategory")
     try:
@@ -303,35 +215,22 @@ def cmd_cat_validate(args):
             B = fio.bicategory_from_json(fio.load_json(args.bicategory))
             if B.hcomp2 is not None:
                 B.validate_bicategory()
-            counts = {
+            return 0, {
                 "valid": True,
                 "objects": len(B.objects),
                 "one_morphisms": len(B.one),
                 "two_morphisms": len(B.two),
             }
-        else:
-            cat = fio.category_from_json(fio.load_json(args.category))
-            counts = {
-                "valid": True,
-                "objects": len(cat.objects),
-                "morphisms": len(cat.morphisms),
-            }
+        cat = fio.category_from_json(fio.load_json(args.category))
     except CategoryMismatch as err:
-        _emit(
-            args,
-            fio.dumps(
-                {"valid": False, "violation": str(err), "witness": repr(err.witness)}
-            ),
-        )
-        return 1
-    _emit(args, fio.dumps(counts))
-    return 0
+        return 1, {"valid": False, "violation": str(err), "witness": repr(err.witness)}
+    return 0, {"valid": True, "objects": len(cat.objects), "morphisms": len(cat.morphisms)}
 
 
 def _load_bicategory(args):
     from .catgen import relation_bicategory
 
-    if getattr(args, "bicategory", None):
+    if args.bicategory:
         return fio.bicategory_from_json(fio.load_json(args.bicategory))
     if not args.group:
         raise FloerkitError("need --group (builtin relation bicategory) or --bicategory")
@@ -344,24 +243,15 @@ def cmd_cat_yoneda(args):
     B = _load_bicategory(args)
     base = B.objects[0] if args.base is None else _find_object(B, args.base)
     y = yoneda(B, base)
-    _emit(
-        args,
-        fio.dumps(
-            {
-                "base": repr(base),
-                "categories": {
-                    repr(x): {
-                        "objects": len(c.objects),
-                        "morphisms": len(c.morphisms),
-                    }
-                    for x, c in y["categories"].items()
-                },
-                "functors": len(y["functors"]),
-                "transformations": len(y["transformations"]),
-            }
-        ),
-    )
-    return 0
+    return 0, {
+        "base": repr(base),
+        "categories": {
+            repr(x): {"objects": len(c.objects), "morphisms": len(c.morphisms)}
+            for x, c in y["categories"].items()
+        },
+        "functors": len(y["functors"]),
+        "transformations": len(y["transformations"]),
+    }
 
 
 def _find_object(B, name):
@@ -373,24 +263,13 @@ def _find_object(B, name):
 
 def cmd_cat_quotient(args):
     from .cats import quotient_by_2isos
-    from .errors import IllFormedQuotient
 
     B = _load_bicategory(args)
     try:
         q = quotient_by_2isos(B)
     except IllFormedQuotient as err:
-        _emit(args, fio.dumps({"quotient": None, "witness": repr(err.witness)}))
-        return 1
-    _emit(
-        args,
-        fio.dumps(
-            {
-                "objects": len(q.objects),
-                "morphism_classes": len(q.morphisms),
-            }
-        ),
-    )
-    return 0
+        return 1, {"quotient": None, "witness": repr(err.witness)}
+    return 0, {"objects": len(q.objects), "morphism_classes": len(q.morphisms)}
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -556,14 +435,25 @@ def dispatch(argv):
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.fn(args)
-    except FloerkitError as err:
-        payload = {"error": type(err).__name__, "message": str(err)}
-        if err.witness is not None:
-            payload["witness"] = repr(err.witness)
-        _emit(args, fio.dumps(payload))
-        return 1
-    except FileNotFoundError as err:
+        try:
+            if args.budget <= 0:
+                raise FloerkitError("budget must be positive")
+            if getattr(args, "depth", 0) < 0:
+                raise FloerkitError("depth must be non-negative")
+            args.workers = effective_workers(args.workers)
+            code, payload = args.fn(args)
+        except FloerkitError as err:
+            code, payload = 1, {"error": type(err).__name__, "message": str(err)}
+            if err.witness is not None:
+                payload["witness"] = repr(err.witness)
+        text = payload if isinstance(payload, str) else fio.dumps(payload)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except OSError as err:  # a path that cannot be opened, read or written
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -47,9 +47,9 @@ class PartialFunctorSpec:
     """Object and simple-morphism maps for one working group, plus the
     registry of verified move-compatibility certificates."""
 
-    def __init__(self, group, budget=None):
+    def __init__(self, group, budget=None, workers=1):
         self.group = group
-        self.cache = VarietyCache(group, budget=budget)
+        self.cache = VarietyCache(group, budget=budget, workers=workers)
         self.certificates = []
 
     def object_map(self, obj):

@@ -172,7 +172,9 @@ def label_from_json(group, data, cache=None):
         return relation_from_json(group, data)
     if kind not in ("cyl", "attach2", "attach1"):
         raise FloerkitError(f"unknown label kind {kind!r}")
-    return relation_of_simple(group, step_from_json(data), cache)
+    with _reading(f"{kind} label"):
+        step = step_from_json(data)
+    return relation_of_simple(group, step, cache)
 
 
 def diagram_from_json(group, data):
@@ -190,6 +192,7 @@ def diagram_from_json(group, data):
             circle_seams=circle_seams,
             end_patch=dict(data.get("end_patch", {})),
         )
+        surface_obj.analyze()  # hashes every end and seam-end id
         patch_labels = {
             p: cache.variety(bordobject_from_json(obj))
             for p, obj in data["patch_labels"].items()

@@ -290,13 +290,11 @@ class SurfaceAutomorphism:
             for a, b in zip(self.images, other.images)
         )
 
-    def hom_permutation(self, group, points=None):
+    def hom_permutation(self, group):
         """The induced map rho -> rho o phi on Hom(pi_1, G) tuples."""
-        if points is None:
-            points = _hom_points(group, self.genus)
         return {
             pt: tuple(eval_word(w, pt, group) for w in self.images)
-            for pt in points
+            for pt in _hom_points(group, self.genus)
         }
 
     def to_json(self):

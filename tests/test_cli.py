@@ -1,10 +1,14 @@
+import contextlib
+import functools
 import hashlib
 import io
 import json
+import random
 import sys
 
 import pytest
 
+from floerkit import cli
 from floerkit import io as fio
 from floerkit.cli import dispatch
 from floerkit.fieldfun import lens_chain, s1_x_s2_chain, sphere_chain
@@ -23,6 +27,7 @@ from floerkit.bordism import canonical_circle
 from floerkit.catgen import poset_category
 from floerkit.cats import bicategory_with_identity_2cells
 from floerkit.io import bicategory_to_json, category_to_json
+from floerkit.relcat import generator_set
 from floerkit.words import dehn_twist_a
 
 
@@ -76,8 +81,31 @@ def files(tmp_path_factory):
     two = poset_category(lambda x, y: x <= y, (0, 1), name="two")
     cat_short_row = category_to_json(two)
     cat_short_row["composition"][0] = cat_short_row["composition"][0][:1]
-    bic_short_row = bicategory_to_json(bicategory_with_identity_2cells(two))
+    bic = bicategory_to_json(bicategory_with_identity_2cells(two))
+    bic_short_row = json.loads(json.dumps(bic))
     bic_short_row["vertical_composition"][0] = bic_short_row["vertical_composition"][0][:1]
+    h2_short = {**bic, "horizontal_composition_2": bic["horizontal_composition_2"][1:]}
+    h2_not_cell = json.loads(json.dumps(bic))
+    h2_not_cell["horizontal_composition_2"][0][2] = "no-such-cell"
+    # a 2-cell on a 1-cell 0 -> 1 does not compose with itself
+    arrow = next(a for a, (f, _) in bic["two_morphisms"].items()
+                 if len(set(bic["one_morphisms"][f])) == 2)
+    h2_extra = {**bic, "horizontal_composition_2": [
+        *bic["horizontal_composition_2"], [arrow, arrow, arrow]
+    ]}
+
+    diagram = fio.diagram_to_json(q)
+    loaded = fio.diagram_from_json(s3, diagram)
+    incoming = loaded.surface.incoming_ends()[0]
+    generator = generator_set(loaded.end_cyclic_chain(incoming)).tuples[0]
+
+    def diagram_with(**fields):
+        # the diagram with some top-level fields replaced
+        return {**diagram, **fields}
+
+    first_patch, first_seam = sorted(diagram["patch_labels"])[0], sorted(diagram["seams"])[0]
+    end_order = diagram["ends"]["e0"]
+    auto = dehn_twist_a(1).to_json()
     return {
         "nonjson": str(nonjson),
         "nomul": write("nomul.json", {"bad": 1}),
@@ -129,6 +157,36 @@ def files(tmp_path_factory):
         "bic_short_row": write("bic_short_row.json", bic_short_row),
         "inputs_list": write("inputs_list.json", [1]),
         "inputs_int": write("inputs_int.json", {"e0": 5}),
+        "inputs": write("inputs.json", {incoming: [list(p) for p in generator]}),
+        "cat": write("cat.json", category_to_json(two)),
+        "bic": write("bic.json", bic),
+        "bic_h2_short": write("bic_h2_short.json", h2_short),
+        "bic_h2_not_cell": write("bic_h2_not_cell.json", h2_not_cell),
+        "bic_h2_extra": write("bic_h2_extra.json", h2_extra),
+        "auto_noimages": write(
+            "auto_noimages.json", {k: v for k, v in auto.items() if k != "images"}
+        ),
+        "auto_badgenus": write("auto_badgenus.json", {**auto, "genus": [[0]]}),
+        "auto_badword": write("auto_badword.json", {**auto, "images": [1, 2]}),
+        "diagram_nopatch": write(
+            "diagram_nopatch.json",
+            diagram_with(patch_labels={
+                p: v for p, v in diagram["patch_labels"].items() if p != first_patch
+            }),
+        ),
+        "diagram_noseam": write(
+            "diagram_noseam.json",
+            diagram_with(seam_labels={
+                s: v for s, v in diagram["seam_labels"].items() if s != first_seam
+            }),
+        ),
+        "diagram_list_end": write(
+            "diagram_list_end.json",
+            diagram_with(ends={**diagram["ends"], "e0": [[0], *end_order[1:]]}),
+        ),
+        "diagram_list_outgoing": write(
+            "diagram_list_outgoing.json", diagram_with(outgoing=[0])
+        ),
     }
 
 
@@ -170,6 +228,16 @@ MALFORMED_PRESENTATIONS = (
     "pres_list",
     "pres_string_relator",
 )
+BAD_AUTOS = ("auto_noimages", "auto_badgenus", "auto_badword")
+UNLABELED_DIAGRAMS = ("diagram_nopatch", "diagram_noseam")
+UNLABELED_COMMANDS = (
+    ["quilt-glue", "--group", "s3", "--second", "diagram", "--end", "e0", "--first"],
+    ["quilt-shrink", "--group", "s3", "--patch", "f1", "--diagram"],
+    ["quilt-eval", "--group", "s3", "--inputs", "inputs", "--diagram"],
+    ["quilt-export-dot", "--group", "s3", "--diagram"],
+)
+UNHASHABLE_DIAGRAMS = ("diagram_list_end", "diagram_list_outgoing")
+BAD_HCOMP2 = ("bic_h2_short", "bic_h2_not_cell", "bic_h2_extra")
 MALFORMED_CATEGORIES = (
     *(("--category", name) for name in ("cat_empty", "cat_list", "cat_short_row")),
     *(("--bicategory", name) for name in ("cat_empty", "cat_list", "bic_short_row")),
@@ -204,6 +272,12 @@ MALFORMED_CATEGORIES = (
         *(["cat-validate", flag, name] for flag, name in MALFORMED_CATEGORIES),
         *(["quilt-eval", "--group", "s3", "--diagram", "diagram", "--inputs", inputs]
           for inputs in ("inputs_list", "inputs_int")),
+        *(["lagrangian", "--group", "s3", "--genus", "1", "--kind", "cyl", "--auto", auto]
+          for auto in BAD_AUTOS),
+        *([*cmd, name] for cmd in UNLABELED_COMMANDS for name in UNLABELED_DIAGRAMS),
+        *(["quilt-validate", "--group", "s3", "--diagram", name]
+          for name in UNHASHABLE_DIAGRAMS),
+        *(["cat-yoneda", "--bicategory", name] for name in BAD_HCOMP2),
     ],
     ids=[
         "group-without-mul",
@@ -228,6 +302,10 @@ MALFORMED_CATEGORIES = (
         *(f"cat-validate{flag[1:]}-{name}" for flag, name in MALFORMED_CATEGORIES),
         "quilt-eval-inputs-list",
         "quilt-eval-inputs-int",
+        *(f"lagrangian-{auto}" for auto in BAD_AUTOS),
+        *(f"{cmd[0]}-{name}" for cmd in UNLABELED_COMMANDS for name in UNLABELED_DIAGRAMS),
+        *(f"quilt-validate-{name}" for name in UNHASHABLE_DIAGRAMS),
+        *(f"cat-yoneda-{name}" for name in BAD_HCOMP2),
     ],
 )
 def test_bad_input_exits_1_with_report(files, argv):
@@ -493,3 +571,175 @@ def test_output_file(files, tmp_path):
     )
     assert code == 0
     assert json.loads(target.read_text())["order"] == 6
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of one dispatch."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# one valid command line per subcommand (two for the cat-* commands that
+# take either --group or --bicategory); names of fixture files are
+# replaced by their paths
+EVERY_SUBCOMMAND = (
+    ["group-check", "--group", "s3"],
+    ["repvar", "--group", "s3", "--genus", "1"],
+    ["lagrangian", "--group", "s3", "--genus", "1", "--kind", "cyl", "--auto", "twist_a1"],
+    ["compose", "--group", "s3", "rel_at", "rel_a"],
+    ["embedded", "--group", "s3", "rel_a", "rel_at"],
+    ["generators", "--group", "s3", "--cyclic", "rel_a", "rel_at"],
+    ["invariant", "--group", "s3", "--chain", "sphere"],
+    ["verify-cerf", "--group", "z2", "--genus", "1"],
+    ["oracle", "--group", "s3", "--presentation", "pres"],
+    ["bordism-validate", "--chain", "sphere"],
+    ["bordism-neighbors", "--chain", "sphere"],
+    ["bordism-connect", "--chain", "sphere", "--to", "sphere", "--depth", "1"],
+    ["quilt-validate", "--group", "s3", "--diagram", "diagram"],
+    ["quilt-glue", "--group", "s3", "--first", "diagram", "--second", "diagram", "--end", "e0"],
+    ["quilt-shrink", "--group", "s3", "--diagram", "diagram", "--patch", "f1"],
+    ["quilt-eval", "--group", "s3", "--diagram", "diagram", "--inputs", "inputs"],
+    ["quilt-export-dot", "--group", "s3", "--diagram", "diagram"],
+    ["cat-validate", "--category", "cat"],
+    ["cat-validate", "--bicategory", "bic"],
+    ["cat-yoneda", "--group", "z2"],
+    ["cat-yoneda", "--bicategory", "bic"],
+    ["cat-quotient", "--group", "z2"],
+    ["cat-quotient", "--bicategory", "bic"],
+)
+SUBCOMMAND_IDS = [f"{argv[0]}{argv[1][1:]}" for argv in EVERY_SUBCOMMAND]
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+def test_every_subcommand_succeeds(files, argv):
+    code, out, err = run_captured([files.get(a, a) for a in argv])
+    assert code == 0 and out and not err
+
+
+# the commands of acceptance criterion 7, plus one that fails
+OUTPUT_COMMANDS = (
+    ["group-check", "--group", "s3"],
+    ["repvar", "--group", "s3", "--genus", "2"],
+    ["lagrangian", "--group", "s3", "--genus", "2", "--kind", "attach2"],
+    ["compose", "--group", "s3", "rel_at", "rel_a"],
+    ["embedded", "--group", "s3", "rel_a", "rel_at"],
+    ["generators", "--group", "s3", "--cyclic", "rel_a", "rel_at"],
+    ["invariant", "--group", "s3", "--chain", "sphere"],
+    ["invariant", "--group", "s3", "--chain", "lens2"],
+    ["verify-cerf", "--group", "z2", "--genus", "1"],
+    ["oracle", "--group", "s3", "--presentation", "pres"],
+    ["bordism-validate", "--chain", "sphere"],
+    ["bordism-neighbors", "--chain", "sphere"],
+    ["quilt-validate", "--group", "s3", "--diagram", "diagram"],
+    ["quilt-export-dot", "--group", "s3", "--diagram", "diagram"],
+    ["cat-quotient", "--group", "z2"],
+    ["compose", "--group", "s3", "rel_nopairs", "rel_a"],
+)
+
+
+@pytest.mark.parametrize(
+    "argv", OUTPUT_COMMANDS, ids=[f"{a[0]}-{a[-1]}" for a in OUTPUT_COMMANDS]
+)
+def test_output_file_gets_the_stdout_bytes(files, tmp_path, argv):
+    argv = [files.get(a, a) for a in argv]
+    code, out, _ = run_captured(argv)
+    target = tmp_path / "out"
+    code_to_file, out_with_file, _ = run_captured(argv + ["--output", str(target)])
+    assert code_to_file == code
+    assert out_with_file == ""
+    assert target.read_bytes() == out.encode()
+
+
+def test_unopenable_paths_exit_2_with_one_line(files, tmp_path):
+    for argv in (
+        ["repvar", "--group", str(tmp_path), "--genus", "1"],
+        ["repvar", "--group", files["s3"], "--genus", "1", "--output", str(tmp_path)],
+        ["compose", "--group", files["s3"], "nonexistent.json", "--output", str(tmp_path)],
+    ):
+        code, out, err = run_captured(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+def test_budget_is_checked_by_every_subcommand(files, argv):
+    code, out, _ = run_captured([files.get(a, a) for a in argv] + ["--budget", "0"])
+    assert code == 1
+    assert out == fio.dumps({"error": "FloerkitError", "message": "budget must be positive"})
+
+
+def test_negative_depth_report(files):
+    argv = ["bordism-connect", "--chain", files["sphere"], "--to", files["sphere"]]
+    code, out, _ = run_captured(argv + ["--depth", "-1"])
+    assert code == 1
+    assert out == fio.dumps({"error": "FloerkitError", "message": "depth must be non-negative"})
+
+
+def test_bad_hcomp2_table_fails_cat_validate(files):
+    for name in BAD_HCOMP2:
+        code, out, _ = run_captured(["cat-validate", "--bicategory", files[name]])
+        assert code == 1
+        report = json.loads(out)
+        assert report["valid"] is False and "horizontal 2-composit" in report["violation"]
+
+
+def test_unlabeled_diagram_keeps_its_full_report(files):
+    for name in UNLABELED_DIAGRAMS:
+        code, out, _ = run_captured(
+            ["quilt-validate", "--group", files["s3"], "--diagram", files[name]]
+        )
+        assert code == 1
+        failed = [e["check"] for e in json.loads(out) if e["status"] == "fail"]
+        assert len(failed) == 1 and "labeled" in failed[0]
+
+
+FUZZ_VALUES = (None, 1, -1, "a", [], {}, [[0]])
+FUZZ_MUTANTS = 20
+
+
+def mutate(data, rng):
+    """A copy of ``data`` with one change: a key or item dropped, a value
+    replaced by one of FUZZ_VALUES, or one such change made inside a child."""
+    if not isinstance(data, (dict, list)) or not data:
+        return rng.choice(FUZZ_VALUES)
+    copy = dict(data) if isinstance(data, dict) else list(data)
+    key = rng.choice(sorted(copy)) if isinstance(copy, dict) else rng.randrange(len(copy))
+    roll = rng.random()
+    if roll < 0.25:
+        del copy[key]
+    elif roll < 0.5:
+        copy[key] = rng.choice(FUZZ_VALUES)
+    else:
+        copy[key] = mutate(copy[key], rng)
+    return copy
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+def test_mutated_input_files_never_escape_dispatch(files, tmp_path, monkeypatch, argv):
+    """Every file argument, replaced by FUZZ_MUTANTS seeded mutations of
+    itself, gives exit 0, 1 or 2 and never a traceback."""
+    # building the parser is most of a dispatch here; parsing does not change it
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    output = str(tmp_path / "out")
+    failures = []
+    for pos, name in enumerate(argv):
+        if name not in files:
+            continue
+        with open(files[name]) as fh:
+            original = json.load(fh)
+        rng = random.Random(f"{' '.join(argv)}:{pos}")
+        for i in range(FUZZ_MUTANTS):
+            mutant = tmp_path / f"mutant-{pos}-{i}.json"
+            mutant.write_text(json.dumps(mutate(original, rng)))
+            line = [str(mutant) if j == pos else files.get(a, a) for j, a in enumerate(argv)]
+            try:
+                code, _, err = run_captured(line + ["--output", output])
+            except Exception as exc:  # anything that escapes dispatch
+                failures.append((name, mutant.read_text(), repr(exc)))
+                continue
+            if code not in (0, 1, 2) or "Traceback" in err:
+                failures.append((name, mutant.read_text(), code, err))
+    assert not failures

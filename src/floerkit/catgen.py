@@ -106,8 +106,11 @@ def path_category(vertices, edges, name="paths"):
                 all_paths.append(((src, b), seq))
                 extend(src, seq, b)
 
-    for v in vertices:
-        extend(v, (), v)
+    try:
+        for v in vertices:
+            extend(v, (), v)
+    finally:
+        extend = None  # extend refers to itself; leave no reference cycle behind
 
     morphisms = {}
     identity = {}

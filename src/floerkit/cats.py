@@ -350,7 +350,10 @@ def all_functors(C, D, limit=None):
                     rec(i + 1, dict(mor_map))
                 del mor_map[f]
 
-        rec(0, {})
+        try:
+            rec(0, {})
+        finally:
+            rec = None  # rec refers to itself; leave no reference cycle behind
 
     for values in itertools.product(D.objects, repeat=len(objs)):
         if limit is not None and len(out) >= limit:
@@ -360,24 +363,18 @@ def all_functors(C, D, limit=None):
 
 
 def all_nats(F, G):
-    """All natural transformations F => G by componentwise backtracking."""
+    """All natural transformations F => G: each choice of components, in
+    order, that is natural."""
     C, D = F.source, F.target
     objs = sorted(C.objects, key=repr)
     # candidates[i]: the morphisms F(x) -> G(x) for x = objs[i], in repr order
     candidates = [D.by_ends.get((F.obj_map[x], G.obj_map[x]), ()) for x in objs]
     out = []
-
-    def rec(i, comps):
-        if i == len(objs):
-            try:
-                out.append(NatTransformation(F, G, comps))
-            except CategoryMismatch:
-                pass
-            return
-        for m in candidates[i]:
-            rec(i + 1, {**comps, objs[i]: m})
-
-    rec(0, {})
+    for choice in itertools.product(*candidates):
+        try:
+            out.append(NatTransformation(F, G, dict(zip(objs, choice))))
+        except CategoryMismatch:
+            pass
     return out
 
 
@@ -471,7 +468,7 @@ class FinBicategory:
         if set(vcomp) != composable:
             raise CategoryMismatch("vertical composition domain mismatch")
         for (a, b), c in vcomp.items():
-            if two[c] != (two[a][0], two[b][1]):
+            if two.get(c) != (two[a][0], two[b][1]):
                 raise CategoryMismatch(
                     "vertical composite mistyped", witness=(a, b)
                 )
@@ -500,7 +497,7 @@ class FinBicategory:
         if set(self.hcomp1) != composable1:
             raise CategoryMismatch("horizontal 1-composition domain mismatch")
         for (f, g), h in self.hcomp1.items():
-            if self.one[h] != (self.one[f][0], self.one[g][1]):
+            if self.one.get(h) != (self.one[f][0], self.one[g][1]):
                 raise CategoryMismatch(
                     "horizontal composite mistyped", witness=(f, g)
                 )

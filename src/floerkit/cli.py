@@ -16,6 +16,7 @@ byte-identical for every worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import io as fio
@@ -42,14 +43,18 @@ def _load_group(args):
     return group_from_json(fio.load_json(args.group))
 
 
-def _load_relations(g, paths):
-    return [fio.relation_from_json(g, fio.load_json(p)) for p in paths]
+def _load_relations(args):
+    """The relation files over the group file; each distinct variety in
+    them is enumerated once, under --budget, to check it is whole."""
+    g = _load_group(args)
+    cache = VarietyCache(g, budget=args.budget, workers=args.workers)
+    return [fio.relation_from_json(g, fio.load_json(p), cache) for p in args.relations]
 
 
-def _load_labeled_diagram(g, path):
+def _load_labeled_diagram(g, path, budget):
     """The diagram in a file, refused with the failing entries of its
     validation report when a patch or seam has no label."""
-    q = fio.diagram_from_json(g, fio.load_json(path))
+    q = fio.diagram_from_json(g, fio.load_json(path), budget)
     failed = [e for e in q.validate() if e["status"] == "fail"]
     if any(e["check"] in LABEL_CHECKS for e in failed):
         raise LabelMismatch("quilt diagram has unlabeled patches or seams", witness=failed)
@@ -96,7 +101,7 @@ def cmd_lagrangian(args):
 
 
 def cmd_compose(args):
-    rels = _load_relations(_load_group(args), args.relations)
+    rels = _load_relations(args)
     acc = rels[0]
     for rel in rels[1:]:
         acc = geometric_compose(acc, rel)
@@ -104,7 +109,7 @@ def cmd_compose(args):
 
 
 def cmd_embedded(args):
-    a, b = _load_relations(_load_group(args), args.relations)
+    a, b = _load_relations(args)
     flag, witness = is_embedded(a, b)
     report = {"embedded": flag}
     if witness is not None:
@@ -119,7 +124,7 @@ def cmd_embedded(args):
 def cmd_generators(args):
     if not args.cyclic:
         raise FloerkitError("generator sets are defined for cyclic chains; pass --cyclic")
-    rels = _load_relations(_load_group(args), args.relations)
+    rels = _load_relations(args)
     gens = generator_set(CyclicChain(tuple(rels)), budget=args.budget)
     return 0, {"count": len(gens), "tuples": _tuples(gens)}
 
@@ -179,32 +184,32 @@ def cmd_bordism_connect(args):
 
 
 def cmd_quilt_validate(args):
-    q = fio.diagram_from_json(_load_group(args), fio.load_json(args.diagram))
+    q = fio.diagram_from_json(_load_group(args), fio.load_json(args.diagram), args.budget)
     report = q.validate()
     return _passed(report), report
 
 
 def cmd_quilt_glue(args):
     g = _load_group(args)
-    q1 = _load_labeled_diagram(g, args.first)
-    q2 = _load_labeled_diagram(g, args.second)
+    q1 = _load_labeled_diagram(g, args.first, args.budget)
+    q2 = _load_labeled_diagram(g, args.second, args.budget)
     return 0, fio.diagram_to_json(quilt_glue(q1, q2, args.end))
 
 
 def cmd_quilt_shrink(args):
-    q = _load_labeled_diagram(_load_group(args), args.diagram)
+    q = _load_labeled_diagram(_load_group(args), args.diagram, args.budget)
     return 0, fio.diagram_to_json(shrink_strip(q, args.patch))
 
 
 def cmd_quilt_eval(args):
-    q = _load_labeled_diagram(_load_group(args), args.diagram)
+    q = _load_labeled_diagram(_load_group(args), args.diagram, args.budget)
     inputs = fio.inputs_from_json(fio.load_json(args.inputs))
     out = quilt_evaluate(q, inputs, budget=args.budget)
     return 0, {"outputs": sorted([list(pt) for pt in t] for t in out)}
 
 
 def cmd_quilt_export_dot(args):
-    return 0, export_dot(_load_labeled_diagram(_load_group(args), args.diagram))
+    return 0, export_dot(_load_labeled_diagram(_load_group(args), args.diagram, args.budget))
 
 
 def cmd_cat_validate(args):
@@ -275,7 +280,10 @@ def cmd_cat_quotient(args):
 # -- argument parsing -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it is most of an in-process dispatch."""
     parser = argparse.ArgumentParser(
         prog="floerkit",
         description="set-level field theory toolkit over finite groups",

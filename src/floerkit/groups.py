@@ -13,6 +13,7 @@ construction and safe to share between worker processes.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,26 @@ class FiniteGroup:
             for x in cls:
                 class_of[x] = ci
         self.class_of = tuple(class_of)
+
+    @cached_property
+    def _pair_conjugators(self):
+        """Entry ``x * order + y``: the rows of ``conj``, as lists, of the
+        conjugators that take (x, y) to its least conjugate pair.
+
+        Those conjugators form one coset of C(x) & C(y), found inside the
+        coset of C(x) that takes x to its class minimum.  Conjugators that
+        differ by a central factor share a row, so each row is kept once.
+        Built on first use: loading a group does not pay for it.
+        """
+        rows = [list(r) for r in dict.fromkeys(map(tuple, self.conj.tolist()))]
+        table = []
+        for x in range(self.order):
+            least_x = self.conjugacy_classes[self.class_of[x]][0]
+            to_least = [row for row in rows if row[x] == least_x]
+            for y in range(self.order):
+                least_y = min(row[y] for row in to_least)
+                table.append([row for row in to_least if row[y] == least_y])
+        return table
 
     # -- basic operations --------------------------------------------
 

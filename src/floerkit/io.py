@@ -108,13 +108,17 @@ def chain_from_json(data):
 # -- varieties and relations ----------------------------------------------------
 
 
-def variety_from_json(group, data):
+def variety_from_json(group, data, cache=None):
     """A variety whose every point is checked: 2g elements of the group
     that satisfy the surface relator and are least in their conjugation
-    orbit.  Whether the points are all of the variety is not checked."""
+    orbit, each listed once.  Such points lie in the variety; they must
+    also be all of it, as the cache enumerates it under its budget, and
+    the least missing point is the witness."""
+    cache = cache or VarietyCache(group)
     with _reading("variety"):
         obj = bordobject_from_json(data["object"])
         v = RepVariety(group, obj, tuple(tuple(p) for p in data["points"]))
+    seen = set()
     for p in v.points:
         if len(p) != 2 * v.genus or not all(
             isinstance(x, int) and 0 <= x < group.order for x in p
@@ -124,16 +128,26 @@ def variety_from_json(group, data):
             reason = "does not satisfy the surface relator"
         elif canonical_point(group, p) != p:
             reason = "is not least in its conjugation orbit"
+        elif p in seen:
+            reason = "is listed twice"
         else:
+            seen.add(p)
             continue
         raise FloerkitError(f"variety point {list(p)} {reason}", witness=list(p))
+    missing = sorted(set(cache.variety(v.obj).points) - seen)
+    if missing:
+        p = list(missing[0])
+        raise FloerkitError(f"variety point {p} is missing", witness=p)
     return v
 
 
-def relation_from_json(group, data):
+def relation_from_json(group, data, cache=None):
+    """A relation between two checked varieties (see ``variety_from_json``);
+    the cache enumerates each distinct object once."""
+    cache = cache or VarietyCache(group)
     with _reading("relation"):
-        src = variety_from_json(group, data["source"])
-        dst = variety_from_json(group, data["target"])
+        src = variety_from_json(group, data["source"], cache)
+        dst = variety_from_json(group, data["target"], cache)
         pairs = frozenset((tuple(x), tuple(y)) for x, y in data["pairs"])
     return FiniteRelation(src, dst, pairs)
 
@@ -169,7 +183,7 @@ def label_from_json(group, data, cache=None):
     if kind == "diagonal":
         return diagonal_relation(cache.variety(bordobject_from_json(data["object"])))
     if kind == "raw":
-        return relation_from_json(group, data)
+        return relation_from_json(group, data, cache)
     if kind not in ("cyl", "attach2", "attach1"):
         raise FloerkitError(f"unknown label kind {kind!r}")
     with _reading(f"{kind} label"):
@@ -177,8 +191,8 @@ def label_from_json(group, data, cache=None):
     return relation_of_simple(group, step, cache)
 
 
-def diagram_from_json(group, data):
-    cache = VarietyCache(group)
+def diagram_from_json(group, data, budget=None):
+    cache = VarietyCache(group, budget=budget)
     with _reading("quilt diagram"):
         ends = {e: tuple(order) for e, order in data["ends"].items()}
         seams = {s: tuple(pair) for s, pair in data["seams"].items()}

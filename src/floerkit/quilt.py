@@ -492,7 +492,10 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
                 rec(i + 1, assign)
             assign.pop()
 
-    rec(0, [])
+    try:
+        rec(0, [])
+    finally:
+        rec = None  # rec refers to itself; leave no reference cycle behind
     return results
 
 
@@ -1098,12 +1101,14 @@ def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
             del perm[e1]
         return False
 
+    try:
+        if not rec(0, {}, set()):
+            return False
+    finally:
+        rec = None  # rec refers to itself; leave no reference cycle behind
     if not s1.circle_seams and not s2.circle_seams:
-        return rec(0, {}, set())
+        return True
     # with circle seams, compare the labeled circle structure separately
-    base = rec(0, {}, set())
-    if not base:
-        return False
     sig1 = sorted(
         (repr(q1.patch_labels[pm]), repr(q1.patch_labels[pp]), repr(q1.seam_labels[c]))
         for c, (pm, pp) in s1.circle_seams.items()

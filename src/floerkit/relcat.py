@@ -280,8 +280,11 @@ def generator_set(c: CyclicChain, budget=None) -> GeneratorSet:
             if x in succ[0].get(x, ()):
                 out.append((x,))
     else:
-        for x in nodes[0].points:
-            extend([x])
+        try:
+            for x in nodes[0].points:
+                extend([x])
+        finally:
+            extend = None  # extend refers to itself; leave no reference cycle behind
     return GeneratorSet(c, tuple(sorted(out)))
 
 

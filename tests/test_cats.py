@@ -356,6 +356,22 @@ def strict_two_category(vcomp_edits=(), hcomp2_edits=()):
     )
 
 
+@pytest.mark.parametrize("table", ["vcomp", "hcomp1"])
+def test_bicategory_table_value_that_is_not_a_cell(table):
+    from floerkit.cats import FinBicategory
+
+    B = bicategory_with_identity_2cells(two_chain())
+    tables = {"vcomp": dict(B.vcomp), "hcomp1": dict(B.hcomp1)}
+    pair = min(tables[table], key=repr)
+    tables[table][pair] = "zz"
+    with pytest.raises(CategoryMismatch) as err:
+        FinBicategory(
+            B.objects, B.one, B.two, tables["vcomp"], B.id2, tables["hcomp1"],
+            B.hcomp2, B.weak_unit,
+        )
+    assert err.value.witness == pair
+
+
 def test_bicategory_vertical_associativity_failure():
     strict_two_category().validate_bicategory()
     # a01.a01 := a00 keeps the typing and the unit laws but not associativity:

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -8,7 +7,6 @@ import sys
 
 import pytest
 
-from floerkit import cli
 from floerkit import io as fio
 from floerkit.cli import dispatch
 from floerkit.fieldfun import lens_chain, s1_x_s2_chain, sphere_chain
@@ -66,6 +64,14 @@ def files(tmp_path_factory):
             data[side]["points"].append(point)
         data["pairs"].append([point, point])
         return data
+
+    # the genus-1 diagonal with its source cut to the one point (0, 0), and
+    # with its last source point listed twice: each point is valid, the
+    # source is not the variety
+    diag = diagonal_relation(cache.variety(surface(1))).to_json()
+    source = diag["source"]
+    cut = {**diag, "source": {**source, "points": [[0, 0]]}, "pairs": [[[0, 0], [0, 0]]]}
+    doubled = {**diag, "source": {**source, "points": [*source["points"], source["points"][-1]]}}
 
     pairs = [(a, b) for a in range(s3.order) for b in range(s3.order)]
     off_relator = next(p for p in pairs if not satisfies_relator(s3, p))
@@ -135,6 +141,9 @@ def files(tmp_path_factory):
         "forged_canonical": write(
             "forged_canonical.json", forged(s3, list(off_canonical))
         ),
+        "diag": write("diag.json", diag),
+        "cut": write("cut.json", cut),
+        "doubled": write("doubled.json", doubled),
         "rel_nopairs": write("rel_nopairs.json", relation_with(pairs=None)),
         "rel_short_pair": write("rel_short_pair.json", relation_with(pairs=[[[0, 0]]])),
         "rel_int_pair": write("rel_int_pair.json", relation_with(pairs=[[1, 2]])),
@@ -264,6 +273,8 @@ MALFORMED_CATEGORIES = (
         ["compose", "--group", "z2", "forged_range", "forged_range"],
         ["compose", "--group", "s3", "forged_relator", "forged_relator"],
         ["compose", "--group", "s3", "forged_canonical", "forged_canonical"],
+        ["compose", "--group", "s3", "cut", "diag"],
+        ["compose", "--group", "s3", "doubled", "diag"],
         *(["compose", "--group", "s3", rel, "rel_a"] for rel in MALFORMED_RELATIONS),
         *(["embedded", "--group", "s3", "rel_a", rel] for rel in MALFORMED_RELATIONS),
         *(["generators", "--group", "s3", "--cyclic", rel] for rel in MALFORMED_RELATIONS),
@@ -295,6 +306,8 @@ MALFORMED_CATEGORIES = (
         "compose-point-out-of-range",
         "compose-point-off-relator",
         "compose-point-not-canonical",
+        "compose-variety-cut",
+        "compose-point-listed-twice",
         *(f"compose-{rel}" for rel in MALFORMED_RELATIONS),
         *(f"embedded-{rel}" for rel in MALFORMED_RELATIONS),
         *(f"generators-{rel}" for rel in MALFORMED_RELATIONS),
@@ -323,6 +336,32 @@ def test_forged_variety_point_is_the_witness(files):
     report = json.loads(out)
     assert report["error"] == "FloerkitError"
     assert report["witness"] == repr([7, 7])
+
+
+def test_incomplete_variety_least_missing_point_is_the_witness(files):
+    code, out = run(["compose", "--group", files["s3"], files["cut"], files["diag"]])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "FloerkitError",
+        "message": "variety point [0, 1] is missing",
+        "witness": repr([0, 1]),
+    }
+    code, out = run(["compose", "--group", files["s3"], files["doubled"], files["diag"]])
+    assert code == 1
+    assert json.loads(out)["message"].endswith("is listed twice")
+
+
+def test_variety_check_runs_under_the_budget(files):
+    # |S3|^2 = 36 tuples to enumerate for the genus-1 varieties
+    argv = ["compose", "--group", files["s3"], files["diag"], files["diag"]]
+    assert run(argv + ["--budget", "36"])[0] == 0
+    code, out = run(argv + ["--budget", "35"])
+    assert code == 1
+    assert json.loads(out)["error"] == "ResourceLimit"
+    # so do the varieties of a diagram's patch and raw seam labels
+    argv = ["quilt-validate", "--group", files["s3"], "--diagram", files["diagram"]]
+    assert run(argv + ["--budget", "36"])[0] == 0
+    assert json.loads(run(argv + ["--budget", "35"])[1])["error"] == "ResourceLimit"
 
 
 def test_lagrangian_cyl_without_auto_is_the_diagonal(files):
@@ -718,11 +757,9 @@ def mutate(data, rng):
 
 
 @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
-def test_mutated_input_files_never_escape_dispatch(files, tmp_path, monkeypatch, argv):
+def test_mutated_input_files_never_escape_dispatch(files, tmp_path, argv):
     """Every file argument, replaced by FUZZ_MUTANTS seeded mutations of
     itself, gives exit 0, 1 or 2 and never a traceback."""
-    # building the parser is most of a dispatch here; parsing does not change it
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     output = str(tmp_path / "out")
     failures = []
     for pos, name in enumerate(argv):

@@ -1,6 +1,8 @@
 """Seeded randomized sweeps over the structural invariants that hold for
 every composition of library data, complementing the fixed examples."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,27 @@ from floerkit.bordism import (
     AttachingCircle,
     attach1,
     attach2,
+    canonical_circle,
     chain,
     chain_adjoint,
     chain_compose,
     cyl,
 )
 from floerkit.bordobjects import surface
+from floerkit.catgen import path_category, poset_category
+from floerkit.cats import all_functors, all_nats
 from floerkit.groups import cyclic_group, symmetric_group
-from floerkit.quilt import cylinder_diagram, evaluates_to_identity
+from floerkit.quilt import (
+    cylinder_diagram,
+    diagrams_isomorphic,
+    evaluates_to_identity,
+    quilt_evaluate,
+)
 from floerkit.relcat import CyclicChain, generator_set, geometric_compose, is_embedded
 from floerkit.repvar import (
     VarietyCache,
     canonical_point,
+    enumerate_relator_solutions,
     relation_of_attach2,
     relation_of_cyl,
     satisfies_relator,
@@ -165,3 +176,43 @@ def test_generator_sets_respect_rotation_random():
     for shift in (1, 2, 3):
         rotated, mapping = rotation_bijection(gens, shift)
         assert sorted(mapping.values()) == sorted(generator_set(rotated).tuples)
+
+
+def garbage_left_by(call):
+    """Objects the cyclic garbage collector frees after one more call; the
+    first call fills any lazily built caches."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def recursive_enumerations():
+    cache = VarietyCache(S3)
+    rel = relation_of_attach2(S3, canonical_circle(1), cache)
+    q = cylinder_diagram([rel, rel.transpose()])
+    end = q.surface.incoming_ends()[0]
+    tup = generator_set(q.end_cyclic_chain(end)).tuples[0]
+    two = poset_category(lambda x, y: x <= y, (0, 1), name="two")
+    functors = all_functors(two, two)
+    return {
+        "quilt_evaluate": lambda: quilt_evaluate(q, {end: tup}),
+        "diagrams_isomorphic": lambda: diagrams_isomorphic(q, q),
+        "generator_set": lambda: generator_set(q.end_cyclic_chain(end)),
+        "all_functors": lambda: all_functors(two, two),
+        "all_nats": lambda: all_nats(functors[0], functors[-1]),
+        "path_category": lambda: path_category((0, 1, 2), [(0, 1, "a"), (1, 2, "b")]),
+        "enumerate_relator_solutions": lambda: list(enumerate_relator_solutions(S3, 2)),
+        "enumeration_left_early": lambda: next(iter(enumerate_relator_solutions(S3, 2))),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(recursive_enumerations()))
+def test_recursive_enumerations_leave_no_reference_cycles(name):
+    # a nested recursive function that refers to itself would leave a cycle
+    # per call, freed only when the cyclic collector happens to run
+    assert garbage_left_by(recursive_enumerations()[name]) == 0

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +9,13 @@ from floerkit import io as fio
 from floerkit import parallel, repvar
 from floerkit.bordobjects import EMPTY, surface
 from floerkit.errors import ResourceLimit
-from floerkit.groups import cyclic_group, quaternion_group, symmetric_group
+from floerkit.groups import (
+    cyclic_group,
+    dihedral_group,
+    quaternion_group,
+    standard_test_groups,
+    symmetric_group,
+)
 from floerkit.quilt import cylinder_diagram
 from floerkit.relcat import geometric_compose
 from floerkit.repvar import (
@@ -36,6 +44,8 @@ Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
 S3 = symmetric_group(3)
 Q8 = quaternion_group()
+D6 = dihedral_group(6)
+S4 = symmetric_group(4)
 
 
 def brute_variety_count(group, genus):
@@ -119,6 +129,64 @@ def test_canonical_point_properties():
         assert canon == min(orbit)
 
 
+def least_conjugate(group, tup):
+    """Oracle: the least tuple over all |G| conjugators."""
+    return min(tuple(row[x] for x in tup) for row in group.conj.tolist())
+
+
+@pytest.mark.parametrize(
+    "group,genus", [(S3, 2), (Q8, 2), (D6, 2), (S4, 1)], ids=lambda v: getattr(v, "name", v)
+)
+def test_canonical_point_matches_all_conjugators(group, genus):
+    for tup in enumerate_relator_solutions(group, genus):
+        assert canonical_point(group, tup) == least_conjugate(group, tup), tup
+    # tuples of any length, on or off the relator
+    rng = random.Random(f"{group.name}:{genus}")
+    for length in (1, 3, 5):
+        for _ in range(300):
+            tup = tuple(rng.randrange(group.order) for _ in range(length))
+            assert canonical_point(group, tup) == least_conjugate(group, tup), tup
+    assert canonical_point(group, ()) == ()
+
+
+def burnside_variety_count(group, genus):
+    """Independent oracle by Burnside's lemma: |Hom(pi_1 Sigma_g, G)/G| is
+    the mean over h in G of |Hom(pi_1 Sigma_g, C(h))|, and each term counts
+    the products of g commutators equal to e inside C(h), by convolving the
+    commutator-fiber counts of C(h) g times.  Reads only the group table."""
+    n = group.order
+    mul, inv = group.mul.tolist(), group.inv.tolist()
+    total = 0
+    for h in range(n):
+        cent = [x for x in range(n) if mul[x][h] == mul[h][x]]
+        fiber = Counter(mul[mul[mul[a][b]][inv[a]]][inv[b]] for a in cent for b in cent)
+        products = {0: 1}  # product of the commutators so far -> count
+        for _ in range(genus):
+            nxt = Counter()
+            for x, k in products.items():
+                for c, m in fiber.items():
+                    nxt[mul[x][c]] += k * m
+            products = nxt
+        total += products.get(0, 0)
+    assert total % n == 0
+    return total // n
+
+
+@pytest.mark.parametrize(
+    "group,genus,count",
+    [
+        *((g, genus, None) for g in standard_test_groups() for genus in (1, 2)),
+        (S4, 2, 1851),
+        (Q8, 3, 36352),
+    ],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_variety_size_matches_burnside_count(group, genus, count):
+    expected = burnside_variety_count(group, genus)
+    assert count in (None, expected)
+    assert len(repvariety(group, surface(genus))) == expected
+
+
 def test_budget_enforced(monkeypatch):
     with pytest.raises(ResourceLimit):
         repvariety(S3, surface(3), budget=100)
@@ -131,6 +199,12 @@ def test_budget_enforced(monkeypatch):
     with pytest.raises(ResourceLimit) as err:
         repvariety(S3, surface(3), budget=100, workers=2)
     assert err.value.witness == {"order": 6, "genus": 3, "budget": 100}
+
+
+def test_budget_refuses_a_huge_genus_without_the_power():
+    with pytest.raises(ResourceLimit) as err:
+        repvariety(S3, surface(10 ** 7), budget=10 ** 8)
+    assert str(err.value) == "|G|^(2g) = 6^20000000 exceeds budget 100000000"
 
 
 def test_cyl_identity_is_diagonal():

@@ -241,15 +241,19 @@ def verify_cerf_compatibility(spec: PartialFunctorSpec, genera=(1, 2), transport
         rot = crossing_transport(g, 1)
         if g >= 2:
             l_prime = relation(attach2(canonical_circle(g - 1)))
+            l_prime_t = l_prime.transpose()
+            emb4, w4 = is_embedded(l_prime, l_prime_t)
+            l_prime_back = geometric_compose(l_prime, l_prime_t)
         for psi in lib:
             alpha = AttachingCircle(g, psi)
             l_alpha = relation(attach2(alpha))
+            l_alpha_t = l_alpha.transpose()
 
             # single intersection: alpha against its crossing transport
             beta = AttachingCircle(g, rot.then(psi))
             l_beta = relation(attach2(beta))
-            emb, wit = is_embedded(l_alpha.transpose(), l_beta)
-            comp = geometric_compose(l_alpha.transpose(), l_beta)
+            emb, wit = is_embedded(l_alpha_t, l_beta)
+            comp = geometric_compose(l_alpha_t, l_beta)
             expected = diagonal_relation(spec.object_map(surface(g - 1)))
             ok = emb and comp == expected
             report.append(
@@ -290,16 +294,14 @@ def verify_cerf_compatibility(spec: PartialFunctorSpec, genera=(1, 2), transport
                     )
                 )
 
-                emb3, w3 = is_embedded(l_alpha.transpose(), l_beta_d)
-                emb4, w4 = is_embedded(l_prime, l_prime.transpose())
-                lhs = geometric_compose(l_alpha.transpose(), l_beta_d)
-                rhs = geometric_compose(l_prime, l_prime.transpose())
+                emb3, w3 = is_embedded(l_alpha_t, l_beta_d)
+                lhs = geometric_compose(l_alpha_t, l_beta_d)
                 # Over nonabelian groups the first composition here is not
                 # embedded at genus >= 2: a conjugacy class of pairs is not
                 # determined by the classes of its members, so the
                 # intermediate on the higher-genus surface is not unique.
                 # The identity itself still holds; the entry records both.
-                ok = emb3 and emb4 and lhs == rhs
+                ok = emb3 and emb4 and lhs == l_prime_back
                 report.append(
                     _entry(
                         "switch-mixed-handles",
@@ -307,7 +309,7 @@ def verify_cerf_compatibility(spec: PartialFunctorSpec, genera=(1, 2), transport
                         g,
                         (psi.name,),
                         ok,
-                        identity=lhs == rhs,
+                        identity=lhs == l_prime_back,
                         embedded=emb3 and emb4,
                         pairs=len(lhs),
                         witness=None if ok else {"bad": (w3, w4)},

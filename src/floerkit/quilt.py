@@ -31,7 +31,7 @@ from .errors import (
     NotEmbedded,
     ResourceLimit,
 )
-from .relcat import CyclicChain, generator_set, geometric_compose, is_embedded
+from .relcat import CyclicChain, _join, generator_set
 
 
 @dataclass(frozen=True)
@@ -810,8 +810,8 @@ def shrink_strip(q: QuiltDiagram, p):
         # into h1 runs p -> face(x), so transpose; into h2 runs p -> face(y)
         lab_in = _oriented_label(q, s_a, head=h1).transpose()
         lab_out = _oriented_label(q, s_b, head=h2)
-        flag, witness = is_embedded(lab_in, lab_out)
-        if not flag:
+        composed, witness = _join(lab_in, lab_out)
+        if witness is not None:
             raise NotEmbedded(
                 "strip labels do not compose embeddedly", witness=witness
             )
@@ -827,7 +827,7 @@ def shrink_strip(q: QuiltDiagram, p):
         seam_labels = {
             s: lab for s, lab in q.seam_labels.items() if s not in (s_a, s_b)
         }
-        seam_labels[sid] = geometric_compose(lab_in, lab_out)
+        seam_labels[sid] = composed
         return _resurface(
             new_ends,
             surface.outgoing,
@@ -862,10 +862,9 @@ def shrink_strip(q: QuiltDiagram, p):
     if pm2 != p:
         lab2 = lab2.transpose()
         pm2, pp2 = pp2, pm2
-    flag, witness = is_embedded(lab1, lab2)
-    if not flag:
+    composed, witness = _join(lab1, lab2)
+    if witness is not None:
         raise NotEmbedded("annulus labels do not compose embeddedly", witness=witness)
-    composed = geometric_compose(lab1, lab2)
     cid = ("merge", c1, c2)
     circles = {
         c: sides for c, sides in surface.circle_seams.items() if c not in (c1, c2)

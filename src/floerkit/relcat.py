@@ -10,6 +10,12 @@ re-expanding composites recorded in a factorization registry; cyclic
 chains carry generator sets, the coherent tuples that play the role of
 Floer chain generators, with explicit bijections under embedded
 contraction.
+
+One walk over the join of two relations serves ``geometric_compose``,
+``is_embedded`` and ``compose_embedded``.  Its witness of non-embeddedness
+is (x, (y1, y2), z) for the least triple (x, y2, z) whose composite pair
+(x, z) already has a smaller intermediate, y1 the least one.  Relations
+whose endpoints differ raise ``EndpointMismatch``, witnessed by both ends.
 """
 
 from __future__ import annotations
@@ -21,45 +27,50 @@ from .errors import EndpointMismatch, NotEmbedded, ResourceLimit
 from .repvar import FiniteRelation, diagonal_relation
 
 
-def geometric_compose(l12: FiniteRelation, l23: FiniteRelation) -> FiniteRelation:
-    """{(x, z) : exists y with (x,y) in L12 and (y,z) in L23}."""
+def _join(l12: FiniteRelation, l23: FiniteRelation):
+    """Walk the join once: returns (composite, witness), the witness None
+    when the composition is embedded (see the module docstring)."""
     if l12.target != l23.source:
         raise EndpointMismatch(
             f"cannot compose {l12!r} with {l23!r}",
             witness=(repr(l12.target.obj), repr(l23.source.obj)),
         )
     succ = l23.successors()
-    pairs = set()
+    first = {}    # (x, z) -> the first intermediate met
+    repeats = []  # (x, y, z) whose (x, z) already had an intermediate
     for x, y in l12.pairs:
         for z in succ.get(y, ()):
-            pairs.add((x, z))
-    return FiniteRelation(l12.source, l23.target, frozenset(pairs))
+            # each y meets a given (x, z) once, so only a repeat sees another y
+            if first.setdefault((x, z), y) is not y:
+                repeats.append((x, y, z))
+    composite = FiniteRelation(l12.source, l23.target, frozenset(first))
+    # the repeated pairs with their first intermediates, in sorted order:
+    # the first pair met twice gives the witness
+    seen = {}
+    for x, y, z in sorted(repeats + [(x, first[x, z], z) for x, _, z in repeats]):
+        if seen.setdefault((x, z), y) != y:
+            return composite, (x, (seen[x, z], y), z)
+    return composite, None
+
+
+def geometric_compose(l12: FiniteRelation, l23: FiniteRelation) -> FiniteRelation:
+    """{(x, z) : exists y with (x,y) in L12 and (y,z) in L23}."""
+    return _join(l12, l23)[0]
 
 
 def is_embedded(l12: FiniteRelation, l23: FiniteRelation):
-    """Check uniqueness of intermediates; returns (flag, witness).
-
-    The witness on failure is (x, (y, y'), z) with two distinct
-    intermediates connecting the same composite pair.
-    """
-    if l12.target != l23.source:
-        raise EndpointMismatch(f"cannot compose {l12!r} with {l23!r}")
-    succ = l23.successors()
-    seen = {}
-    for x, y in sorted(l12.pairs):
-        for z in sorted(succ.get(y, ())):
-            if (x, z) in seen and seen[(x, z)] != y:
-                return False, (x, (seen[(x, z)], y), z)
-            seen[(x, z)] = y
-    return True, None
+    """Check uniqueness of intermediates; returns (flag, witness), the
+    witness on failure being two intermediates of one composite pair."""
+    witness = _join(l12, l23)[1]
+    return witness is None, witness
 
 
 def compose_embedded(l12, l23):
     """Compose and insist on embeddedness."""
-    flag, witness = is_embedded(l12, l23)
-    if not flag:
+    composite, witness = _join(l12, l23)
+    if witness is not None:
         raise NotEmbedded("geometric composition is not embedded", witness=witness)
-    return geometric_compose(l12, l23)
+    return composite
 
 
 class FactorizationRegistry:
@@ -71,10 +82,9 @@ class FactorizationRegistry:
         self._table = {}
 
     def record(self, l12, l23, composite):
-        self._table.setdefault(composite, [])
-        entry = (l12, l23)
-        if entry not in self._table[composite]:
-            self._table[composite].append(entry)
+        entries = self._table.setdefault(composite, [])
+        if (l12, l23) not in entries:
+            entries.append((l12, l23))
 
     def factorizations(self, composite):
         return tuple(self._table.get(composite, ()))
@@ -126,11 +136,9 @@ class RelationChain:
         """
         acc = diagonal_relation(self.source)
         for rel in self.relations:
-            if require_embedded:
-                flag, _ = is_embedded(acc, rel)
-                if not flag:
-                    return None
-            acc = geometric_compose(acc, rel)
+            acc, witness = _join(acc, rel)
+            if require_embedded and witness is not None:
+                return None
         return acc
 
 
@@ -162,11 +170,10 @@ def chain_equivalent(c1: RelationChain, c2: RelationChain, depth: int,
         )
 
     target_key = key(c2)
-    start = (c1, [])
-    seen = {key(c1)}
-    queue = deque([start])
     if key(c1) == target_key:
         return []
+    seen = {key(c1)}
+    queue = deque([(c1, [])])
     for _ in range(depth):
         next_queue = deque()
         while queue:
@@ -174,9 +181,9 @@ def chain_equivalent(c1: RelationChain, c2: RelationChain, depth: int,
             moves = []
             for i in range(len(ch.relations) - 1):
                 a, b = ch.relations[i], ch.relations[i + 1]
-                flag, _ = is_embedded(a, b)
-                if flag:
-                    comp = registry.compose_and_record(a, b)
+                comp, witness = _join(a, b)
+                if witness is None:
+                    registry.record(a, b, comp)
                     rels = ch.relations[:i] + (comp,) + ch.relations[i + 2:]
                     moves.append((("compose", i), RelationChain(ch.source, ch.target, rels)))
             for i, rel in enumerate(ch.relations):
@@ -248,7 +255,7 @@ class GeneratorSet:
         return len(self.tuples)
 
     def __contains__(self, tup):
-        return tup in set(self.tuples)
+        return tup in self.tuples
 
 
 def generator_set(c: CyclicChain, budget=None) -> GeneratorSet:
@@ -275,28 +282,18 @@ def generator_set(c: CyclicChain, budget=None) -> GeneratorSet:
         for y in sorted(succ[i - 1].get(prefix[-1], ())):
             extend(prefix + [y])
 
-    if k == 1:
+    try:
         for x in nodes[0].points:
-            if x in succ[0].get(x, ()):
-                out.append((x,))
-    else:
-        try:
-            for x in nodes[0].points:
-                extend([x])
-        finally:
-            extend = None  # extend refers to itself; leave no reference cycle behind
+            extend([x])
+    finally:
+        extend = None  # extend refers to itself; leave no reference cycle behind
     return GeneratorSet(c, tuple(sorted(out)))
 
 
 def rotation_bijection(gens: GeneratorSet, shift):
     """The canonical relabeling of generator tuples under rotation."""
-    k = len(gens.chain)
-    shift %= k
-    rotated = gens.chain.rotate(shift)
-    mapping = {}
-    for tup in gens.tuples:
-        mapping[tup] = tup[shift:] + tup[:shift]
-    return rotated, mapping
+    shift %= len(gens.chain)
+    return gens.chain.rotate(shift), {tup: tup[shift:] + tup[:shift] for tup in gens.tuples}
 
 
 def composition_bijection(c: CyclicChain, i: int, budget=None):
@@ -313,13 +310,12 @@ def composition_bijection(c: CyclicChain, i: int, budget=None):
     i %= k
     j = (i + 1) % k
     a, b = c.relations[i], c.relations[j]
-    flag, witness = is_embedded(a, b)
-    if not flag:
+    comp, witness = _join(a, b)
+    if witness is not None:
         raise NotEmbedded(
             f"composition of cyclic positions {i}, {j} is not embedded",
             witness=witness,
         )
-    comp = geometric_compose(a, b)
     if j > i:
         rels = c.relations[:i] + (comp,) + c.relations[j + 1:]
     else:  # wrap-around: i is last, j == 0; node 0 disappears
@@ -328,10 +324,9 @@ def composition_bijection(c: CyclicChain, i: int, budget=None):
     before = generator_set(c, budget=budget)
     after = generator_set(contracted, budget=budget)
 
-    forward = {}
-    for tup in before.tuples:
-        out = tup[:j] + tup[j + 1:] if j > i else tup[1:]
-        forward[tup] = out
+    forward = {
+        tup: tup[:j] + tup[j + 1:] if j > i else tup[1:] for tup in before.tuples
+    }
     inverse = {}
     for tup, out in forward.items():
         if out in inverse:

@@ -185,6 +185,7 @@ def repvariety(group, obj, budget=None, workers=1):
     if not obj.is_surface or obj.genus == 0:
         return RepVariety(group, obj, ((),))
     _check_budget(group, obj.genus, budget)
+    group._pair_conjugators  # built once here: forked workers inherit it
     entries = first_handle_entries(group)
     step = max(1, len(entries) // (4 * max(1, workers)))
     chunks = [entries[at:at + step] for at in range(0, len(entries), step)]

@@ -277,6 +277,7 @@ MALFORMED_CATEGORIES = (
         ["compose", "--group", "s3", "doubled", "diag"],
         *(["compose", "--group", "s3", rel, "rel_a"] for rel in MALFORMED_RELATIONS),
         *(["embedded", "--group", "s3", "rel_a", rel] for rel in MALFORMED_RELATIONS),
+        ["embedded", "--group", "s3", "rel_a", "rel_a"],
         *(["generators", "--group", "s3", "--cyclic", rel] for rel in MALFORMED_RELATIONS),
         *(["oracle", "--group", "s3", "--presentation", pres]
           for pres in MALFORMED_PRESENTATIONS),
@@ -310,6 +311,7 @@ MALFORMED_CATEGORIES = (
         "compose-point-listed-twice",
         *(f"compose-{rel}" for rel in MALFORMED_RELATIONS),
         *(f"embedded-{rel}" for rel in MALFORMED_RELATIONS),
+        "embedded-endpoint-mismatch",
         *(f"generators-{rel}" for rel in MALFORMED_RELATIONS),
         *(f"oracle-{pres}" for pres in MALFORMED_PRESENTATIONS),
         *(f"cat-validate{flag[1:]}-{name}" for flag, name in MALFORMED_CATEGORIES),
@@ -326,6 +328,16 @@ def test_bad_input_exits_1_with_report(files, argv):
     code, out = run(argv)
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_embedded_endpoint_mismatch_is_witnessed(files):
+    # the same witness as compose gives for the pair
+    for cmd in ("embedded", "compose"):
+        code, out = run([cmd, "--group", files["s3"], files["rel_a"], files["rel_a"]])
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"] == "EndpointMismatch"
+        assert report["witness"] == repr((repr(surface(0)), repr(surface(1))))
 
 
 def test_forged_variety_point_is_the_witness(files):

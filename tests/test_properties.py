@@ -19,15 +19,24 @@ from floerkit.bordism import (
 from floerkit.bordobjects import surface
 from floerkit.catgen import path_category, poset_category
 from floerkit.cats import all_functors, all_nats
-from floerkit.groups import cyclic_group, symmetric_group
+from floerkit import fieldfun
+from floerkit.errors import NotEmbedded
+from floerkit.groups import cyclic_group, dihedral_group, quaternion_group, symmetric_group
 from floerkit.quilt import (
     cylinder_diagram,
     diagrams_isomorphic,
     evaluates_to_identity,
     quilt_evaluate,
 )
-from floerkit.relcat import CyclicChain, generator_set, geometric_compose, is_embedded
+from floerkit.relcat import (
+    CyclicChain,
+    compose_embedded,
+    generator_set,
+    geometric_compose,
+    is_embedded,
+)
 from floerkit.repvar import (
+    FiniteRelation,
     VarietyCache,
     canonical_point,
     enumerate_relator_solutions,
@@ -137,6 +146,87 @@ def test_composition_counting_when_embedded_random():
         succ = B.successors()
         triples = sum(len(succ.get(y, ())) for _, y in A.pairs)
         assert triples == len(comp)
+
+
+def join_oracle(l12, l23):
+    """Every triple (x, y, z) of the join, enumerated pair by pair: the
+    composite, and the witness (x, (y1, y2), z) at the least (x, y2, z)
+    over the composite pairs with two or more intermediates, y1 < y2 the
+    two least of them (None when there is no such pair)."""
+    between = {}
+    for x, y in l12.pairs:
+        for y_, z in l23.pairs:
+            if y_ == y:
+                between.setdefault((x, z), []).append(y)
+    repeated = []
+    for (x, z), ys in between.items():
+        if len(ys) > 1:
+            y1, y2 = sorted(ys)[:2]
+            repeated.append((x, y2, z, y1))
+    composite = FiniteRelation(l12.source, l23.target, frozenset(between))
+    if not repeated:
+        return composite, None
+    x, y2, z, y1 = min(repeated)
+    return composite, (x, (y1, y2), z)
+
+
+def assert_join_matches_oracle(l12, l23):
+    """Check the three views of the join against the oracle; returns
+    whether the composition is embedded."""
+    composite, witness = join_oracle(l12, l23)
+    assert geometric_compose(l12, l23) == composite
+    assert is_embedded(l12, l23) == (witness is None, witness)
+    if witness is None:
+        assert compose_embedded(l12, l23) == composite
+        return True
+    with pytest.raises(NotEmbedded) as err:
+        compose_embedded(l12, l23)
+    assert err.value.witness == witness
+    return False
+
+
+def test_join_matches_brute_force_on_random_relations():
+    # random relations of assorted densities, empty ones included, between
+    # the genus 0 and 1 varieties of two groups
+    rng = np.random.default_rng(29)
+    spaces = []
+    for group in (S3, cyclic_group(4)):
+        cache = VarietyCache(group)
+        spaces.append([cache.variety(surface(g)) for g in (0, 1)])
+
+    def random_relation(src, dst):
+        density = (0.0, 0.05, 0.2, 0.5, 1.0)[int(rng.integers(0, 5))]
+        return FiniteRelation(src, dst, frozenset(
+            (x, y) for x in src.points for y in dst.points if rng.random() < density
+        ))
+
+    embedded = empty = 0
+    for _ in range(200):
+        ends = spaces[int(rng.integers(0, 2))]
+        a, b, c = (ends[int(rng.integers(0, 2))] for _ in range(3))
+        l12, l23 = random_relation(a, b), random_relation(b, c)
+        empty += not l12.pairs or not l23.pairs
+        embedded += assert_join_matches_oracle(l12, l23)
+    assert 0 < empty < embedded < 200
+
+
+@pytest.mark.parametrize(
+    "group", [S3, quaternion_group(), dihedral_group(6)], ids=lambda g: g.name
+)
+def test_join_matches_brute_force_on_cerf_pairs(group, monkeypatch):
+    # the pairs verify_cerf_compatibility asks about at genus 1 and 2; over
+    # a nonabelian group the mixed switch is not embedded for each of the
+    # 7 genus-2 transports, and every other pair is
+    pairs = []
+
+    def recorded(l12, l23):
+        pairs.append((l12, l23))
+        return is_embedded(l12, l23)
+
+    monkeypatch.setattr(fieldfun, "is_embedded", recorded)
+    fieldfun.verify_cerf_compatibility(fieldfun.PartialFunctorSpec(group))
+    flags = [assert_join_matches_oracle(l12, l23) for l12, l23 in pairs]
+    assert flags.count(False) == 7
 
 
 def test_cylinder_axiom_random_label_sequences():

@@ -68,9 +68,12 @@ def test_transpose_antihomomorphism(s3_cache):
 
 
 def test_endpoint_mismatch(s3_cache):
+    # the three views of one walk refuse mismatched ends with one witness
     A = relation_of_attach2(S3, canonical_circle(1), s3_cache)
-    with pytest.raises(EndpointMismatch):
-        geometric_compose(A, A)
+    for view in (geometric_compose, is_embedded, compose_embedded):
+        with pytest.raises(EndpointMismatch) as err:
+            view(A, A)
+        assert err.value.witness == (repr(surface(0)), repr(surface(1)))
 
 
 def test_embedded_with_diagonal(s3_cache):

@@ -12,6 +12,7 @@ from floerkit.errors import ResourceLimit
 from floerkit.groups import (
     cyclic_group,
     dihedral_group,
+    group_from_json,
     quaternion_group,
     standard_test_groups,
     symmetric_group,
@@ -199,6 +200,17 @@ def test_budget_enforced(monkeypatch):
     with pytest.raises(ResourceLimit) as err:
         repvariety(S3, surface(3), budget=100, workers=2)
     assert err.value.witness == {"order": 6, "genus": 3, "budget": 100}
+
+
+def test_conjugator_table_is_built_once_before_the_workers():
+    # built in the parent before the fork, so the workers inherit it and
+    # the parent keeps it; constructing or loading a group does not build it
+    group = quaternion_group()
+    loaded = group_from_json(group.to_json())
+    assert "_pair_conjugators" not in group.__dict__
+    assert "_pair_conjugators" not in loaded.__dict__
+    repvariety(group, surface(2), workers=2)
+    assert "_pair_conjugators" in group.__dict__
 
 
 def test_budget_refuses_a_huge_genus_without_the_power():

@@ -222,19 +222,12 @@ def relation_bicategory(group, max_pool=64, name=None):
 
     pool_ids = {rel_id[r] for r in pool}
 
-    def obj_of(variety):
-        return variety.obj
-
-    one = {}
-    chains = []
-    for i, rel in enumerate(closure):
-        chains.append((i,))
+    chains = [(i,) for i in range(len(closure))]
     for i in sorted(pool_ids):
         for j in sorted(pool_ids):
             if closure[i].target == closure[j].source:
                 chains.append((i, j))
-    for ch in chains:
-        one[ch] = (obj_of(closure[ch[0]].source), obj_of(closure[ch[-1]].target))
+    one = {ch: (closure[ch[0]].source.obj, closure[ch[-1]].target.obj) for ch in chains}
 
     def complete_chain(z):
         acc = z[0]

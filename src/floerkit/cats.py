@@ -1,11 +1,13 @@
 """Finite, table-driven categories, functors, natural transformations,
 bicategories, the Yoneda construction, and quotients by 2-isomorphisms.
 
-Everything is exhaustively validated: a FinCategory checks identity and
-associativity over all composable pairs and triples at construction, a
+Everything is exactly validated: a FinCategory checks the identity laws on
+every morphism and associativity by Light's test at construction, a
 FinFunctor checks preservation on every morphism, a NatTransformation
-checks every naturality square.  Composition is written diagrammatically
-throughout: ``compose(f, g)`` means "f then g".
+checks every naturality square.  Light's test (``_first_nonassociative``)
+is the one associativity check of the package: group tables and the
+vertical composition of 2-cells use it too.  Composition is written
+diagrammatically throughout: ``compose(f, g)`` means "f then g".
 """
 
 from __future__ import annotations
@@ -20,6 +22,46 @@ from .errors import (
     InvalidObject,
     MiddleMismatch,
 )
+
+
+def _first_nonassociative(cells, identities, comp):
+    """The first composable (f, g, h), in table order, with (fg)h != f(gh),
+    or None.  ``cells`` maps each cell to its (source, target) in table
+    order and ``comp[f, g]`` is f then g.  The identity laws must hold, so
+    no triple holding one of ``identities`` fails, and they enter no loop.
+    Light's test decides (Clifford and Preston, "The Algebraic Theory of
+    Semigroups", vol. 1, 1961): the middles a with (xa)y == x(ay) for all x
+    and y are closed under composition, so only generators are checked.
+    Only a failing table runs the scan for the first witness.
+    """
+    cells = {f: ends for f, ends in cells.items() if f not in identities}
+    out_of, into, gens, products = {}, {}, [], set()
+    for f, (s, d) in cells.items():
+        out_of.setdefault(s, []).append(f)
+        into.setdefault(d, []).append(f)
+    for a, (s, _) in cells.items():
+        if a not in products:  # a generator: close the products under it
+            gens.append(a)
+            todo = [a] + [comp[x, a] for x in products if cells[x][1] == s]
+            while todo:
+                x = todo.pop()
+                if x in cells and x not in products:
+                    products.add(x)
+                    todo += [comp[x, g] for g in gens if cells[g][0] == cells[x][1]]
+    for a in gens:
+        right = [(y, comp[a, y]) for y in out_of.get(cells[a][1], ())]
+        for x in into.get(cells[a][0], ()):
+            xa = comp[x, a]
+            for y, ay in right:
+                if comp[xa, y] != comp[x, ay]:
+                    return next(
+                        (f, g, h)
+                        for f, (_, df) in cells.items()
+                        for g in out_of.get(df, ())
+                        for h in out_of.get(cells[g][1], ())
+                        if comp[comp[f, g], h] != comp[f, comp[g, h]]
+                    )
+    return None
 
 
 class FinCategory:
@@ -67,9 +109,6 @@ class FinCategory:
         if len(self.objects) != len(objset):
             raise CategoryMismatch("duplicate object ids")
         mor, comp = self.morphisms, self.comp
-        # starting[x]: the (g, dst g) with src g == x, in morphisms order, so
-        # the law loops below visit only composable pairs and triples, in the
-        # order of a scan over all of them
         starting = {x: [] for x in self.objects}
         for f, (s, d) in mor.items():
             if s not in objset or d not in objset:
@@ -111,14 +150,9 @@ class FinCategory:
                 raise CategoryMismatch(
                     f"right identity law fails at {f!r}", witness=("right", f)
                 )
-        for f, (_, df) in mor.items():
-            for g, dg in starting[df]:
-                fg = comp[(f, g)]
-                for h, _ in starting[dg]:
-                    if comp[(fg, h)] != comp[(f, comp[(g, h)])]:
-                        raise CategoryMismatch(
-                            "associativity fails", witness=(f, g, h)
-                        )
+        witness = _first_nonassociative(mor, {self.identity[x] for x in objset}, comp)
+        if witness is not None:
+            raise CategoryMismatch("associativity fails", witness=witness)
 
     def __repr__(self):
         return (
@@ -477,14 +511,9 @@ class FinBicategory:
                 raise CategoryMismatch(
                     f"vertical identity law fails at {a!r}", witness=a
                 )
-        for a, (_, ga) in two.items():
-            for b, gb in leaving[ga]:
-                ab = vcomp[(a, b)]
-                for c, _ in leaving[gb]:
-                    if vcomp[(ab, c)] != vcomp[(a, vcomp[(b, c)])]:
-                        raise CategoryMismatch(
-                            "vertical associativity fails", witness=(a, b, c)
-                        )
+        witness = _first_nonassociative(two, {self.id2[f] for f in self.one}, vcomp)
+        if witness is not None:
+            raise CategoryMismatch("vertical associativity fails", witness=witness)
         for x in self.objects:
             u = self.weak_unit.get(x)
             if u not in self.one or self.one[u] != (x, x):

@@ -2,9 +2,9 @@
 
 A group is a square table ``mul`` of element indices with the convention
 that index 0 is the two-sided identity.  Loading a table validates the
-identity, associativity and inverses, and precomputes the inverse table
-and the conjugacy class partition; everything downstream (representation
-varieties, relations, invariants) consumes groups through this class.
+identity, associativity (by Light's test) and inverses, and precomputes
+the inverse table and the conjugacy class partition; everything downstream
+(representation varieties, relations, invariants) uses this class.
 
 Elements are plain ``int`` indices.  Instances are immutable after
 construction and safe to share between worker processes.
@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .cats import _first_nonassociative
 from .errors import FloerkitError, NoIdentity, NoInverse, NonAssociative
 
 
@@ -54,14 +55,12 @@ class FiniteGroup:
             )
             raise NoIdentity("element 0 is not a two-sided identity", witness=bad)
 
-        # (a*b)*c == a*(b*c), fully vectorized: both sides are order^3 tables.
-        left = table[table, :]          # left[a,b,c] = (a*b)*c
-        right = table[:, table]         # right[a,b,c] = a*(b*c)
-        if not np.array_equal(left, right):
-            a, b, c = np.unravel_index(int(np.argmax(left != right)), left.shape)
+        # the table as a one-object category with identity 0
+        witness = _first_nonassociative(dict.fromkeys(range(n), (0, 0)), {0}, table)
+        if witness is not None:
+            a, b, c = witness
             raise NonAssociative(
-                f"({a}*{b})*{c} != {a}*({b}*{c}) in {name}",
-                witness=(int(a), int(b), int(c)),
+                f"({a}*{b})*{c} != {a}*({b}*{c}) in {name}", witness=witness
             )
 
         inv = np.full(n, -1, dtype=np.int64)
@@ -185,8 +184,7 @@ def group_load(table, name="G"):
         if ident is not None and ident != 0:
             perm = np.arange(n)
             perm[0], perm[ident] = ident, 0  # relabel: swap 0 and the identity
-            inv_perm = perm  # a transposition is its own inverse
-            raw = inv_perm[raw[np.ix_(perm, perm)]]
+            raw = perm[raw[np.ix_(perm, perm)]]  # perm is its own inverse
     return FiniteGroup(raw, name=name)
 
 

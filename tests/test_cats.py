@@ -382,6 +382,29 @@ def test_bicategory_vertical_associativity_failure():
     assert err.value.witness == ("a01", "a01", "a02")
 
 
+# every single-entry edit of the strict 2-category's vertical composition
+# that keeps the typing and the unit laws: the composite a{f}{m}.a{f}{n} of
+# two non-identity 2-cells on f becomes another 2-cell a{f}{k} on f
+VCOMP_EDITS = [
+    ((f"a{f}{m}", f"a{f}{n}"), f"a{f}{k}")
+    for f in range(2) for m in (1, 2) for n in (1, 2)
+    for k in range(3) if k != (m + n) % 3
+]
+
+
+@pytest.mark.parametrize(
+    "pair, value", VCOMP_EDITS, ids=[f"{a}.{b}={v}" for (a, b), v in VCOMP_EDITS]
+)
+def test_bicategory_vertical_witness_matches_brute_force(pair, value):
+    base = strict_two_category()
+    expected = first_associativity_failure(base.two, {**base.vcomp, pair: value})
+    assert expected is not None  # no such edit keeps Z3 associative
+    with pytest.raises(CategoryMismatch) as err:
+        strict_two_category(vcomp_edits={pair: value})
+    assert str(err.value) == "vertical associativity fails"
+    assert err.value.witness == expected
+
+
 def test_interchange_check_matches_brute_force():
     def first_interchange_failure(B):
         # all 2-cells have one object at both ends: every 2x2 grid of

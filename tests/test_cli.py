@@ -40,6 +40,17 @@ def run(argv):
     return code, buf.getvalue()
 
 
+# an order-5 Latin square with identity 0 that is not associative:
+# (1*1)*2 = 2 but 1*(1*2) = 1*3 = 4
+NON_ASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
@@ -128,6 +139,7 @@ def files(tmp_path_factory):
         "rel_g": write("rel_g.json", rel_g.to_json()),
         "diagram": write("diagram.json", fio.diagram_to_json(q)),
         "badgroup": write("badgroup.json", {"name": "bad", "order": 2, "mul": [[1, 0], [1, 0]]}),
+        "nonassoc": write("nonassoc.json", {"mul": NON_ASSOCIATIVE_LOOP}),
         "chain_nogenus": write("chain_nogenus.json", [{"kind": "cyl"}]),
         "chain_string": write("chain_string.json", ["cyl"]),
         "chain_badgenus": write("chain_badgenus.json", [{"kind": "cyl", "genus": "a"}]),
@@ -259,6 +271,7 @@ MALFORMED_CATEGORIES = (
         ["group-check", "--group", "nomul"],
         ["group-check", "--group", "nonjson"],
         ["group-check", "--group", "ragged"],
+        ["group-check", "--group", "nonassoc"],
         ["repvar", "--group", "nonjson", "--genus", "1"],
         ["repvar", "--group", "s3", "--genus", "-1"],
         ["lagrangian", "--group", "s3", "--genus", "1", "--kind", "cyl",
@@ -295,6 +308,7 @@ MALFORMED_CATEGORIES = (
         "group-without-mul",
         "group-not-json",
         "group-ragged-table",
+        "group-not-associative",
         "repvar-not-json",
         "repvar-negative-genus",
         "auto-not-json",
@@ -328,6 +342,12 @@ def test_bad_input_exits_1_with_report(files, argv):
     code, out = run(argv)
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_group_check_non_associative_is_witnessed(files):
+    code, out = run(["group-check", "--group", files["nonassoc"]])
+    assert code == 1
+    assert json.loads(out) == {"error": "NonAssociative", "witness": [1, 1, 2]}
 
 
 def test_embedded_endpoint_mismatch_is_witnessed(files):

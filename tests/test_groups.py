@@ -82,6 +82,66 @@ def test_non_associative_rejected():
     assert t[t[a][b]][c] != t[a][t[b][c]]
 
 
+def first_nonassociative_triple(table):
+    """Oracle: both sides of (a*b)*c == a*(b*c) as order^3 arrays; the
+    lexicographically first failing (a, b, c), or None."""
+    t = np.asarray(table)
+    failing = np.argwhere(t[t, :] != t[:, t])
+    return tuple(int(v) for v in failing[0]) if len(failing) else None
+
+
+def corrupted_table(g, seed):
+    """g's table with two entries of a non-identity row swapped and, for
+    odd seeds, two entries of a non-identity column too; the identity row
+    and column stay, so only associativity and inverses can fail."""
+    rng = np.random.default_rng(seed)
+    t = g.mul.copy()
+    row = int(rng.integers(1, g.order))
+    i, j = rng.choice(np.arange(1, g.order), size=2, replace=False)
+    t[row, [i, j]] = t[row, [j, i]]
+    if seed % 2:
+        col = int(rng.integers(1, g.order))
+        i, j = rng.choice(np.arange(1, g.order), size=2, replace=False)
+        t[[i, j], col] = t[[j, i], col]
+    return t
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize(
+    "make", [lambda: symmetric_group(3), quaternion_group, lambda: dihedral_group(6),
+             lambda: symmetric_group(4)],
+    ids=["S3", "Q8", "D6", "S4"],
+)
+def test_non_associative_witness_matches_oracle(make, seed):
+    table = corrupted_table(make(), seed)
+    expected = first_nonassociative_triple(table)
+    assert expected is not None  # every corruption here breaks associativity
+    with pytest.raises(NonAssociative) as err:
+        group_load(table.tolist())
+    assert err.value.witness == expected
+
+
+def test_s5_loads_in_little_memory_and_a_swap_is_caught():
+    import tracemalloc
+
+    from floerkit.groups import FiniteGroup
+
+    table = symmetric_group(5).mul
+    tracemalloc.start()
+    try:
+        FiniteGroup(table.copy())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an order^3 check would hold 2 * 120^3 int64 entries, 27.6 MB
+    assert peak < 8 * 2**20
+    table = table.copy()
+    table[7, [11, 13]] = table[7, [13, 11]]
+    with pytest.raises(NonAssociative) as err:
+        FiniteGroup(table)
+    assert err.value.witness == first_nonassociative_triple(table)
+
+
 def test_loader_reindexes_identity():
     # Z/2 written with the identity at index 1: loader relabels
     g = group_load([[1, 0], [0, 1]])

@@ -92,37 +92,23 @@ def random_transformation_monoid_category(rng, ground=3, generators=2, cap=24):
 
 
 def path_category(vertices, edges, name="paths"):
-    """Free category on an acyclic quiver: morphisms are paths."""
-    paths = {(): None}
-    by_endpoints = {}
-    all_paths = []
-    for v in vertices:
-        all_paths.append(((v,), ()))  # identity path at v: (endpoint, edge tuple)
+    """Free category on an acyclic quiver: morphisms are paths.
 
-    def extend(src, edge_seq, at):
-        for (a, b, tag) in edges:
-            if a == at:
-                seq = edge_seq + ((a, b, tag),)
-                all_paths.append(((src, b), seq))
-                extend(src, seq, b)
-
-    try:
-        for v in vertices:
-            extend(v, (), v)
-    finally:
-        extend = None  # extend refers to itself; leave no reference cycle behind
-
-    morphisms = {}
-    identity = {}
-    for item in all_paths:
-        head, seq = item
-        if seq == ():
-            v = head[0]
-            morphisms[("p", v, ())] = (v, v)
-            identity[v] = ("p", v, ())
-        else:
-            src, dst = head
-            morphisms[("p", src, seq)] = (src, dst)
+    The identity paths come first, in vertex order; then, for each source
+    vertex in order, its paths depth first from an explicit stack, each
+    path before its extensions and the extensions of a path in edge order.
+    """
+    morphisms = {("p", v, ()): (v, v) for v in vertices}
+    identity = {v: ("p", v, ()) for v in vertices}
+    for src in vertices:
+        stack = [((), src)]
+        while stack:
+            seq, at = stack.pop()
+            if seq:
+                morphisms[("p", src, seq)] = (src, at)
+            stack.extend(
+                (seq + ((a, b, tag),), b) for a, b, tag in reversed(edges) if a == at
+            )
     comp = {}
     for f, (s1, d1) in morphisms.items():
         for g, (s2, d2) in morphisms.items():

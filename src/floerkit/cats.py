@@ -351,49 +351,51 @@ def nat_horizontal_compose(eta01: NatTransformation, eta12: NatTransformation):
 # -- exhaustive enumeration of functors and transformations -----------------
 
 
+def _extend_images(images, candidates, checks, comp):
+    """Each tuple of morphism images extended by each candidate image that
+    preserves every checked composition (index, index, index of composite)."""
+    for prefix in images:
+        for g in candidates:
+            nxt = prefix + (g,)
+            for a, b, c in checks:
+                if comp[(nxt[a], nxt[b])] != nxt[c]:
+                    break
+            else:
+                yield nxt
+
+
 def all_functors(C, D, limit=None):
-    """Backtracking enumeration of all functors C -> D."""
+    """All functors C -> D, at most ``limit`` of them.
+
+    For each object map (tuples over D.objects in C.objects order), the
+    morphisms of C are mapped one at a time in repr order, identities to
+    identities and each other morphism to the morphisms of D between the
+    images of its ends, in D's order; a composition entry of C is checked
+    as soon as its last morphism is mapped.  Functors come in that order.
+    """
     objs = list(C.objects)
     mor_items = sorted(C.morphisms.items(), key=repr)
-    out = []
+    mors = [f for f, _ in mor_items]
+    position = {f: i for i, f in enumerate(mors)}
+    checks = [[] for _ in mors]
+    for (a, b), c in C.comp.items():
+        at = (position[a], position[b], position[c])
+        checks[max(at)].append(at)
 
-    def assign_mors(obj_map):
-        def rec(i, mor_map):
-            if limit is not None and len(out) >= limit:
-                return
-            if i == len(mor_items):
-                try:
-                    out.append(FinFunctor(C, D, obj_map, mor_map))
-                except CategoryMismatch:
-                    pass
-                return
-            f, (s, d) = mor_items[i]
-            if f == C.identity[s] and s == d:
-                rec(i + 1, {**mor_map, f: D.identity[obj_map[s]]})
-                return
-            for g in D.by_ends.get((obj_map[s], obj_map[d]), ()):
-                mor_map[f] = g
-                # partial composition check against already assigned
-                ok = True
-                for (a, b), c in C.comp.items():
-                    if a in mor_map and b in mor_map and c in mor_map:
-                        if D.comp[(mor_map[a], mor_map[b])] != mor_map[c]:
-                            ok = False
-                            break
-                if ok:
-                    rec(i + 1, dict(mor_map))
-                del mor_map[f]
+    def functors():
+        for values in itertools.product(D.objects, repeat=len(objs)):
+            obj_map = dict(zip(objs, values))
+            images = [()]
+            for (f, (s, d)), at in zip(mor_items, checks):
+                if f == C.identity[s]:
+                    candidates = (D.identity[obj_map[s]],)
+                else:
+                    candidates = D.by_ends.get((obj_map[s], obj_map[d]), ())
+                images = _extend_images(images, candidates, at, D.comp)
+            for image in images:
+                yield FinFunctor(C, D, obj_map, dict(zip(mors, image)))
 
-        try:
-            rec(0, {})
-        finally:
-            rec = None  # rec refers to itself; leave no reference cycle behind
-
-    for values in itertools.product(D.objects, repeat=len(objs)):
-        if limit is not None and len(out) >= limit:
-            break
-        assign_mors(dict(zip(objs, values)))
-    return out
+    return list(itertools.islice(functors(), limit))
 
 
 def all_nats(F, G):

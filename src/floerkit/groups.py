@@ -35,7 +35,7 @@ class FiniteGroup:
     """
 
     def __init__(self, mul, name="G"):
-        table = np.asarray(mul, dtype=np.int64)
+        table = np.array(mul, dtype=np.int64)  # a copy: the caller keeps its data
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise NoIdentity("multiplication table must be square", witness=table.shape)
         n = table.shape[0]

@@ -408,6 +408,19 @@ def _unit_label(obj):
 # -- evaluation ----------------------------------------------------------------
 
 
+def _extend_assignments(assigns, candidates, checks):
+    """Each partial assignment extended by each candidate point that puts
+    every checked seam (index, index, pairs) in its relation."""
+    for assign in assigns:
+        for x in candidates:
+            nxt = assign + (x,)
+            for im, ip, pairs in checks:
+                if (nxt[im], nxt[ip]) not in pairs:
+                    break
+            else:
+                yield nxt
+
+
 def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
     """The quilted composition map: assignments of one point per patch
     satisfying every seam relation, filtered by the given generator tuple
@@ -418,6 +431,11 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
     input is checked against its end's generator set before any is pinned,
     so inputs that pin one patch two ways give the empty set only when
     each of them is a generator.
+
+    Partial assignments are extended one patch at a time, pinned patches
+    first, each group in repr order, through generators chained level by
+    level; each seam is checked at the level of the later of its two
+    patches, so only one assignment per level is held at a time.
     """
     if not q.relation_mode():
         raise LabelMismatch("evaluation needs relation labels")
@@ -453,11 +471,6 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
         if pinned.setdefault(p, x) != x:
             return set()
 
-    constraints = []
-    for s in sorted(set(surface.seams) | set(surface.circle_seams), key=repr):
-        pm, pp = surface.seam_sides(s)
-        constraints.append((pm, pp, q.seam_labels[s]))
-
     if budget is not None:
         est = 1
         for p in patches:
@@ -468,35 +481,16 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
     order = sorted(patches, key=lambda p: (p not in pinned, repr(p)))
     by_patch = {p: i for i, p in enumerate(order)}
     cons_by_latest = [[] for _ in order]
-    for pm, pp, lab in constraints:
-        latest = max(by_patch[pm], by_patch[pp])
-        cons_by_latest[latest].append((by_patch[pm], by_patch[pp], lab))
+    for s in sorted(set(surface.seams) | set(surface.circle_seams), key=repr):
+        im, ip = (by_patch[p] for p in surface.seam_sides(s))
+        cons_by_latest[max(im, ip)].append((im, ip, q.seam_labels[s].pairs))
 
-    out_nodes = surface.end_nodes(surface.outgoing)
-    results = set()
-
-    def rec(i, assign):
-        if i == len(order):
-            results.add(tuple(assign[by_patch[p]] for p in out_nodes))
-            return
-        p = order[i]
+    assigns = [()]
+    for p, checks in zip(order, cons_by_latest):
         candidates = (pinned[p],) if p in pinned else q.patch_labels[p].points
-        for x in candidates:
-            assign.append(x)
-            ok = True
-            for im, ip, lab in cons_by_latest[i]:
-                if (assign[im], assign[ip]) not in lab.pairs:
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1, assign)
-            assign.pop()
-
-    try:
-        rec(0, [])
-    finally:
-        rec = None  # rec refers to itself; leave no reference cycle behind
-    return results
+        assigns = _extend_assignments(assigns, candidates, checks)
+    out_at = [by_patch[p] for p in surface.end_nodes(surface.outgoing)]
+    return {tuple(assign[i] for i in out_at) for assign in assigns}
 
 
 def identity_alignment(q: QuiltDiagram, e_in):
@@ -890,12 +884,10 @@ def shrink_strip(q: QuiltDiagram, p):
     return out
 
 
-def _oriented_label(q: QuiltDiagram, s, head=None, tail=None):
-    """Label of seam s oriented with the given head (or tail) seam-end."""
-    a, b = q.surface.seams[s]
-    if head is not None:
-        return q.seam_labels[s] if head == b else q.seam_labels[s].transpose()
-    return q.seam_labels[s] if tail == a else q.seam_labels[s].transpose()
+def _oriented_label(q: QuiltDiagram, s, head):
+    """Label of seam s oriented with the given head seam-end."""
+    label = q.seam_labels[s]
+    return label if head == q.surface.seams[s][1] else label.transpose()
 
 
 # -- canonical diagram constructors ----------------------------------------------
@@ -1048,8 +1040,13 @@ def string_diagram(kind, *labels):
 
 
 def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
-    """Backtracking isomorphism of labeled rotation systems preserving the
-    outgoing end and all labels (the combinatorial deformation relation)."""
+    """Isomorphism of labeled rotation systems preserving the outgoing end
+    and all labels (the combinatorial deformation relation).
+
+    Tries each permutation of the ends of q2 (in sorted order) that keeps
+    end lengths and the outgoing end, then each choice of a rotation per
+    end, and stops at the first map under which seams and patch labels
+    agree."""
     s1, s2 = q1.surface, q2.surface
     if len(s1.ends) != len(s2.ends) or len(s1.seams) != len(s2.seams):
         return False
@@ -1063,10 +1060,10 @@ def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
         seam_at[(a, b)] = (s, +1)
         seam_at[(b, a)] = (s, -1)
 
-    def try_map(perm):
-        # perm: end of q1 -> (end of q2, rotation)
+    def try_map(triples):
+        # triples: (end of q1, its image end of q2, rotation)
         half_map = {}
-        for e1, (e2, rot) in perm.items():
+        for e1, e2, rot in triples:
             o1, o2 = s1.ends[e1], s2.ends[e2]
             for i, h in enumerate(o1):
                 half_map[h] = o2[(i + rot) % len(o2)]
@@ -1083,28 +1080,21 @@ def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
                 return False
         return True
 
-    def rec(i, perm, used):
-        if i == len(ends1):
-            return try_map(perm)
-        e1 = ends1[i]
-        for e2 in ends2:
-            if e2 in used or len(s1.ends[e1]) != len(s2.ends[e2]):
-                continue
-            if (e1 == s1.outgoing) != (e2 == s2.outgoing):
-                continue
-            k = max(len(s1.ends[e1]), 1)
-            for rot in range(k):
-                perm[e1] = (e2, rot)
-                if rec(i + 1, perm, used | {e2}):
-                    return True
-            del perm[e1]
+    rotations = [range(max(len(s1.ends[e1]), 1)) for e1 in ends1]
+    for image in itertools.permutations(ends2):
+        if any(
+            len(s1.ends[e1]) != len(s2.ends[e2])
+            or (e1 == s1.outgoing) != (e2 == s2.outgoing)
+            for e1, e2 in zip(ends1, image)
+        ):
+            continue
+        if any(
+            try_map(zip(ends1, image, rots))
+            for rots in itertools.product(*rotations)
+        ):
+            break
+    else:
         return False
-
-    try:
-        if not rec(0, {}, set()):
-            return False
-    finally:
-        rec = None  # rec refers to itself; leave no reference cycle behind
     if not s1.circle_seams and not s2.circle_seams:
         return True
     # with circle seams, compare the labeled circle structure separately

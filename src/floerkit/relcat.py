@@ -258,9 +258,21 @@ class GeneratorSet:
         return tup in self.tuples
 
 
+def _extend_paths(paths, succ):
+    """Each path extended by each successor of its last point."""
+    for path in paths:
+        for y in succ.get(path[-1], ()):
+            yield path + (y,)
+
+
 def generator_set(c: CyclicChain, budget=None) -> GeneratorSet:
-    """Enumerate matching tuples by propagating along the cycle."""
-    k = len(c.relations)
+    """Enumerate matching tuples by propagating along the cycle.
+
+    Paths start at each point of node 0 and are extended node by node
+    through the successor maps of relations 0 to k-2; a path is kept when
+    relation k-1 leads from its last point back to its first.  The tuples
+    are sorted once at the end.
+    """
     nodes = tuple(r.source for r in c.relations)  # node i: source of relation i
     if budget is not None:
         est = 1
@@ -271,23 +283,13 @@ def generator_set(c: CyclicChain, budget=None) -> GeneratorSet:
                 f"generator enumeration would scan {est} tuples", witness=est
             )
     succ = [r.successors() for r in c.relations]
-    out = []
-
-    def extend(prefix):
-        i = len(prefix)
-        if i == k:
-            if prefix[0] in succ[k - 1].get(prefix[-1], ()):
-                out.append(tuple(prefix))
-            return
-        for y in sorted(succ[i - 1].get(prefix[-1], ())):
-            extend(prefix + [y])
-
-    try:
-        for x in nodes[0].points:
-            extend([x])
-    finally:
-        extend = None  # extend refers to itself; leave no reference cycle behind
-    return GeneratorSet(c, tuple(sorted(out)))
+    paths = ((x,) for x in nodes[0].points)
+    for step in succ[:-1]:
+        paths = _extend_paths(paths, step)
+    closing = succ[-1]
+    return GeneratorSet(
+        c, tuple(sorted(p for p in paths if p[0] in closing.get(p[-1], ())))
+    )
 
 
 def rotation_bijection(gens: GeneratorSet, shift):

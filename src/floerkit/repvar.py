@@ -27,6 +27,7 @@ relations pair the point tuples their varieties already store.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,41 +84,37 @@ def enumerate_relator_solutions(group, genus, budget=None, first=None):
 
     ``first`` lists the first-handle entries ((A_1, B_1), [A_1, B_1]) to
     expand, in sorted order; the default is ``first_handle_entries(group)``.
-    Tuples (A_1, B_1, ..., A_g, B_g) come grouped by first handle in the
-    order of ``first``, so the outputs of consecutive slices of the entries
-    concatenate to the full output; at genus <= 2 it is in lexicographic
-    order.
+    For each first handle, handles 2 to g-1 run over the product of all
+    pairs in fiber order (commutators in order of first appearance, pairs
+    sorted within a fiber), and the last handle over the fiber of the
+    inverse of the running product.  Tuples (A_1, B_1, ..., A_g, B_g) come
+    grouped by first handle in the order of ``first``, so the outputs of
+    consecutive slices of the entries concatenate to the full output; at
+    genus <= 2 it is in lexicographic order.
     """
     if genus == 0:
         yield ()
         return
     _check_budget(group, genus, budget)
     entries = first_handle_entries(group)
+    first = entries if first is None else first
+    if genus == 1:
+        yield from (pair for pair, c in first if c == 0)
+        return
     fibers = {}  # fibers[c] = sorted list of pairs (a, b) with [a, b] = c
     for pair, c in entries:
         fibers.setdefault(c, []).append(pair)
     inv = group.inv
     mul = group.mul
-
-    def rec(prefix, acc, handles_left):
-        if handles_left == 0:
-            if acc == 0:
-                yield prefix
-        elif handles_left == 1:
-            # last handle must realize acc^-1
+    in_fiber_order = [(pair, c) for c, pairs in fibers.items() for pair in pairs]
+    for head, commutator in first:
+        for middle in itertools.product(in_fiber_order, repeat=genus - 2):
+            tup, acc = head, commutator
+            for pair, c in middle:
+                tup += pair
+                acc = int(mul[acc, c])
             for pair in fibers.get(int(inv[acc]), ()):
-                yield prefix + pair
-        else:
-            for c, pairs in fibers.items():
-                nxt = int(mul[acc, c])
-                for pair in pairs:
-                    yield from rec(prefix + pair, nxt, handles_left - 1)
-
-    try:
-        for pair, c in entries if first is None else first:
-            yield from rec(pair, c, genus - 1)
-    finally:
-        rec = None  # rec refers to itself; leave no reference cycle behind
+                yield tup + pair
 
 
 @dataclass(frozen=True)

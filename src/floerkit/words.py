@@ -210,18 +210,6 @@ def surface_words_equal(u, v, genus):
 
 # -- surface automorphisms (mapping classes on pi_1) ------------------------
 
-def _hom_points(group, genus):
-    """All of Hom(pi_1(Sigma_g), G) as assignment tuples (no quotient)."""
-    import itertools
-
-    rel = surface_relator(genus)
-    pts = []
-    for tup in itertools.product(range(group.order), repeat=2 * genus):
-        if eval_word(rel, tup, group) == 0:
-            pts.append(tup)
-    return pts
-
-
 @dataclass(frozen=True)
 class SurfaceAutomorphism:
     """An automorphism of the genus-g surface group, with explicit inverse.
@@ -292,9 +280,11 @@ class SurfaceAutomorphism:
 
     def hom_permutation(self, group):
         """The induced map rho -> rho o phi on Hom(pi_1, G) tuples."""
+        from .repvar import enumerate_relator_solutions
+
         return {
             pt: tuple(eval_word(w, pt, group) for w in self.images)
-            for pt in _hom_points(group, self.genus)
+            for pt in enumerate_relator_solutions(group, self.genus)
         }
 
     def to_json(self):

@@ -143,6 +143,40 @@ def test_functor_validation():
         FinFunctor(C, C, {0: 0, 1: 0}, {f: f for f in C.morphisms})
 
 
+def brute_functors(C, D):
+    """Oracle for all_functors: every map of objects and of morphisms that
+    keeps the ends, in the search order, kept when it preserves identities
+    and every composite."""
+    objs = list(C.objects)
+    mors = sorted(C.morphisms, key=repr)
+    out = []
+    for values in itertools.product(D.objects, repeat=len(objs)):
+        obj_map = dict(zip(objs, values))
+        images = [
+            D.by_ends.get((obj_map[s], obj_map[d]), ())
+            for s, d in (C.morphisms[f] for f in mors)
+        ]
+        for image in itertools.product(*images):
+            F = dict(zip(mors, image))
+            if all(F[C.identity[x]] == D.identity[obj_map[x]] for x in objs) and all(
+                D.comp[(F[f], F[g])] == F[h] for (f, g), h in C.comp.items()
+            ):
+                out.append((obj_map, F))
+    return out
+
+
+def test_all_functors_match_brute_force_in_order():
+    small = [s for s in range(60) if len(random_category(s).morphisms) <= 6]
+    assert len(small) >= 30
+    for seed in small:
+        C = random_category(seed)
+        brute = brute_functors(C, C)
+        assert brute
+        for limit in (1, 3, None):
+            ours = all_functors(C, C, limit=limit)
+            assert [(F.obj_map, F.mor_map) for F in ours] == brute[:limit], (seed, limit)
+
+
 def test_nat_vertical_compose_identity():
     C, D = two_chain(), three_chain()
     functors = all_functors(C, D)

@@ -142,6 +142,19 @@ def test_s5_loads_in_little_memory_and_a_swap_is_caught():
     assert err.value.witness == first_nonassociative_triple(table)
 
 
+def test_building_a_group_leaves_the_callers_table_alone():
+    from floerkit.groups import FiniteGroup
+
+    for build in (FiniteGroup, group_load):
+        t = symmetric_group(3).mul.copy()
+        before = t.copy()
+        G = build(t)
+        assert t.flags.writeable and np.array_equal(t, before)
+        assert not G.mul.flags.writeable
+        t[1, 1] = 0  # the caller's copy can still be written
+        assert G.mul[1, 1] == before[1, 1]
+
+
 def test_loader_reindexes_identity():
     # Z/2 written with the identity at index 1: loader relabels
     g = group_load([[1, 0], [0, 1]])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -190,6 +191,41 @@ def test_glue_cap_into_frame_gives_zigzag(rels):
     zig = quilt_glue(cap_diagram(Y), snake_frame_diagram(Y), "aux")
     assert diagrams_isomorphic(zig, cylinder_diagram([Y, Y.transpose()]))
     assert evaluates_to_identity(zig, ("R", "in"))
+
+
+def brute_evaluation_map(q):
+    """Oracle for evaluation_map: every assignment of one point per patch
+    with each seam pair in its relation, keyed by what it puts on the
+    incoming ends and projected onto the outgoing end; empty outputs are
+    left out."""
+    s = q.surface
+    patches = s.data()["patches"]
+    seams = [s.seam_sides(x) + (q.seam_labels[x].pairs,)
+             for x in list(s.seams) + list(s.circle_seams)]
+    table = {}
+    for values in itertools.product(*(q.patch_labels[p].points for p in patches)):
+        point = dict(zip(patches, values))
+        if all((point[a], point[b]) in pairs for a, b, pairs in seams):
+            key = tuple(
+                (e, tuple(point[p] for p in s.end_nodes(e))) for e in s.incoming_ends()
+            )
+            out = tuple(point[p] for p in s.end_nodes(s.outgoing))
+            table.setdefault(key, set()).add(out)
+    return table
+
+
+def test_evaluation_matches_every_patch_assignment():
+    cache = VarietyCache(Z3)
+    Y = relation_of_attach2(Z3, canonical_circle(1), cache)
+    zig = quilt_glue(cap_diagram(Y), snake_frame_diagram(Y), "aux")
+    # the cap glued into the zigzag leaves no incoming end, so no patch is pinned
+    capped = quilt_glue(cap_diagram(Y), zig, ("R", "in"))
+    assert not capped.surface.incoming_ends() and capped.surface.data()["patches"]
+    G = relation_of_cyl(Z3, dehn_twist_a(1), cache)
+    for q in (zig, capped, vertical_composition_diagram(Y, Y, Y),
+              cylinder_diagram([G, Y, Y.transpose(), G.transpose()])):
+        table = {k: v for k, v in evaluation_map(q).items() if v}
+        assert table and table == brute_evaluation_map(q)
 
 
 def test_gluing_axiom_composition(rels):

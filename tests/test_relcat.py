@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from floerkit.bordism import b_circle, canonical_circle
@@ -165,6 +167,33 @@ def test_generator_set_single_relation(s3_cache):
     gens = generator_set(cyc)
     fixed = {x for (x, y) in g.pairs if x == y}
     assert {t[0] for t in gens.tuples} == fixed
+
+
+@pytest.mark.parametrize("group", [S3, cyclic_group(3)], ids=lambda g: g.name)
+def test_generator_set_matches_brute_force(group):
+    cache = VarietyCache(group)
+    twist = relation_of_cyl(group, dehn_twist_a(1), cache)
+    swap = relation_of_cyl(group, s_move(1), cache)
+    cap = relation_of_attach2(group, canonical_circle(1), cache)
+    loop = geometric_compose(cap, cap.transpose())
+    for relations in [
+        (swap,),
+        (cap, cap.transpose()),
+        (twist, swap, twist.transpose()),
+        (loop, twist, loop, swap.transpose()),
+    ]:
+        # every tuple of node points whose consecutive pairs (cyclically)
+        # lie in the relations
+        brute = [
+            tup
+            for tup in itertools.product(*(r.source.points for r in relations))
+            if all(
+                (tup[i], tup[(i + 1) % len(tup)]) in r.pairs
+                for i, r in enumerate(relations)
+            )
+        ]
+        assert brute
+        assert generator_set(CyclicChain(relations)).tuples == tuple(sorted(brute))
 
 
 def test_rotation_bijection(s3_cache):

@@ -3,13 +3,12 @@
 Work is split into an ordered chunk list and results come back in chunk
 order; a caller that merges locally sorted results as a sorted union gets
 output that never depends on the worker count.  Worker count 1 bypasses
-multiprocessing entirely.
+multiprocessing entirely, without importing it.
 """
 
 from __future__ import annotations
 
 import os
-from multiprocessing import get_context
 
 
 def effective_workers(requested=None):
@@ -31,6 +30,8 @@ def run_chunks(fn, chunks, workers):
     chunks = list(chunks)
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    from multiprocessing import get_context
+
     ctx = get_context("fork")
     with ctx.Pool(min(workers, len(chunks))) as pool:
         return pool.map(fn, chunks)

@@ -11,8 +11,12 @@ Enumeration uses the commutator-fiber factorization of the relator
 constraint: solutions of [A_1,B_1]...[A_g,B_g] = e are assembled from the
 precomputed fibers {(A,B) : [A,B] = c}, which keeps genus-2 varieties over
 groups of order ~24 at desk scale.  ``enumerate_relator_solutions`` is the
-one enumeration kernel: the variety canonicalises it slice by slice of the
-first handle pair, and the 2-handle relation reads the slice A_1 = e.
+one enumeration kernel.  Both of its callers expand only the first handles
+that ``least_first_handles`` keeps, the pairs that are least in their own
+conjugation orbit (orderly generation cut at the first handle): the
+variety canonicalises those slices, and the 2-handle relation, whose pairs
+are conjugation invariant, reads the slices A_1 = e with B_1 a class
+minimum.
 
 ``canonical_point`` picks the least tuple of an orbit without trying all
 |G| conjugators: the group lists, per pair (x, y), the conjugators that
@@ -77,6 +81,25 @@ def first_handle_entries(group):
     """Entries ((a, b), [a, b]) for every pair, in lexicographic order."""
     n = group.order
     return [((a, b), group.commutator(a, b)) for a in range(n) for b in range(n)]
+
+
+def least_first_handles(group):
+    """Entries ((a, b), [a, b]) whose pair is the least of its conjugation
+    orbit, in lexicographic order.
+
+    The least tuple of an orbit starts with such a pair: a conjugator that
+    lowered the pair would lower the tuple.  So the first a of each kept
+    pair is a class minimum, and ``_pair_conjugators`` (whose rows all send
+    (a, b) to its least conjugate pair) decides b with one lookup.
+    """
+    n = group.order
+    table = group._pair_conjugators
+    return [
+        ((a, b), group.commutator(a, b))
+        for a in (c[0] for c in group.conjugacy_classes)
+        for b in range(n)
+        if table[a * n + b][0][b] == b
+    ]
 
 
 def enumerate_relator_solutions(group, genus, budget=None, first=None):
@@ -171,19 +194,22 @@ def _variety_chunk(first):
 def repvariety(group, obj, budget=None, workers=1):
     """Enumerate the representation variety of a bordism object.
 
-    The first-handle entries are cut into about 4 * workers slices; each
-    slice is one chunk of ``run_chunks`` (inline for one worker, in forked
-    workers otherwise) that returns its sorted canonical points.  The
-    variety is the sorted union, so output order is identical for every
-    worker count.  The budget is checked here, before any fork.
+    Only the entries of ``least_first_handles`` are expanded: the least
+    tuple of every orbit starts with one of them, and ``canonical_point``
+    maps every tuple they give into the variety.  The entries are cut into
+    about 4 * workers slices; each slice is one chunk of ``run_chunks``
+    (inline for one worker, in forked workers otherwise) that returns its
+    sorted canonical points.  The variety is the sorted union, so output
+    order is identical for every worker count.  The budget is checked
+    here, before any fork.
     """
     from .parallel import run_chunks
 
     if not obj.is_surface or obj.genus == 0:
         return RepVariety(group, obj, ((),))
     _check_budget(group, obj.genus, budget)
-    group._pair_conjugators  # built once here: forked workers inherit it
-    entries = first_handle_entries(group)
+    # builds the conjugator table before any fork: workers inherit it
+    entries = least_first_handles(group)
     step = max(1, len(entries) // (4 * max(1, workers)))
     chunks = [entries[at:at + step] for at in range(0, len(entries), step)]
     _POOL_STATE["job"] = (group, obj.genus)
@@ -320,7 +346,9 @@ def relation_of_attach2(group, circle, cache=None):
     Parametrized over assignments sigma with sigma(a_1) = e satisfying the
     relator: the source point is sigma composed with the inverse transport,
     the target point is the restriction (sigma(a_i), sigma(b_i)) for i >= 2
-    in the pushed-forward standard basis.
+    in the pushed-forward standard basis.  Conjugating sigma leaves its pair
+    of canonical points unchanged, so sigma(b_1) runs over the class minima
+    only: the entries of ``least_first_handles`` with A_1 = e.
     """
     cache = cache or VarietyCache(group)
     g = circle.genus
@@ -329,7 +357,7 @@ def relation_of_attach2(group, circle, cache=None):
     dst = cache.variety(surface(g - 1))
     src_stored, dst_stored = src.stored, dst.stored
     pairs = set()
-    a1_is_e = [((0, b), 0) for b in range(group.order)]  # [e, b] = e
+    a1_is_e = [entry for entry in least_first_handles(group) if entry[0][0] == 0]
     for sigma in enumerate_relator_solutions(
         group, g, budget=cache.budget, first=a1_is_e
     ):

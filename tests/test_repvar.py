@@ -25,6 +25,7 @@ from floerkit.repvar import (
     diagonal_relation,
     enumerate_relator_solutions,
     first_handle_entries,
+    least_first_handles,
     relation_of_attach2,
     relation_of_attach2_direct,
     relation_of_cyl,
@@ -33,6 +34,7 @@ from floerkit.repvar import (
     satisfies_relator,
 )
 from floerkit.words import (
+    builtin_library,
     crossing_transport,
     dehn_twist_a,
     dehn_twist_b,
@@ -47,6 +49,7 @@ S3 = symmetric_group(3)
 Q8 = quaternion_group()
 D6 = dihedral_group(6)
 S4 = symmetric_group(4)
+S5 = symmetric_group(5)
 
 
 def brute_variety_count(group, genus):
@@ -179,6 +182,7 @@ def burnside_variety_count(group, genus):
         *((g, genus, None) for g in standard_test_groups() for genus in (1, 2)),
         (S4, 2, 1851),
         (Q8, 3, 36352),
+        (S5, 2, 33693),
     ],
     ids=lambda v: getattr(v, "name", v),
 )
@@ -186,6 +190,53 @@ def test_variety_size_matches_burnside_count(group, genus, count):
     expected = burnside_variety_count(group, genus)
     assert count in (None, expected)
     assert len(repvariety(group, surface(genus))) == expected
+
+
+# Degrees of the irreducible complex characters, from the character tables.
+CHARACTER_DEGREES = {
+    "S3": (1, 1, 2),
+    "S4": (1, 1, 2, 3, 3),
+    "Q8": (1, 1, 1, 1, 2),
+    "D6": (1, 1, 1, 1, 2, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "group,genus,count",
+    [(S3, 3, 16038), (S4, 2, 34176), (Q8, 3, 133120), (D6, 2, 7776)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_raw_solution_count_matches_frobenius_mednykh(group, genus, count):
+    """|Hom(pi_1 Sigma_g, G)| = |G| sum over irreducible chi of
+    (|G| / chi(1))^(2g - 2), read from the character degrees alone."""
+    n = group.order
+    degrees = CHARACTER_DEGREES[group.name]
+    assert sum(d * d for d in degrees) == n
+    expected = n * sum((n // d) ** (2 * genus - 2) for d in degrees)
+    assert expected == count
+    assert sum(1 for _ in enumerate_relator_solutions(group, genus)) == count
+
+
+@pytest.mark.parametrize("group", [*standard_test_groups(), S4], ids=lambda g: g.name)
+def test_least_first_handles_are_the_least_pairs(group):
+    n = group.order
+    assert least_first_handles(group) == [
+        ((a, b), group.commutator(a, b))
+        for a in range(n)
+        for b in range(n)
+        if least_conjugate(group, (a, b)) == (a, b)
+    ]
+
+
+@pytest.mark.parametrize(
+    "group,genus", [(S3, 3), (Q8, 2), (D6, 2)], ids=lambda v: getattr(v, "name", v)
+)
+def test_variety_from_least_first_handles_matches_every_solution(group, genus):
+    expected = tuple(sorted(
+        {canonical_point(group, tup) for tup in enumerate_relator_solutions(group, genus)}
+    ))
+    for workers in (1, 2):
+        assert repvariety(group, surface(genus), workers=workers).points == expected
 
 
 def test_budget_enforced(monkeypatch):
@@ -293,13 +344,14 @@ def test_b_circle_torus_s3():
     assert rel == rel2
 
 
-@pytest.mark.parametrize("group", [Z2, Z3, Z4, S3, Q8])
+@pytest.mark.parametrize("group", [Z2, Z3, Z4, S3, Q8, D6, S4])
 def test_attach2_two_routes_agree(group):
     cache = VarietyCache(group)
     circles = [canonical_circle(1), b_circle(1),
                AttachingCircle(1, dehn_twist_a(1)),
                canonical_circle(2), b_circle(2),
                AttachingCircle(2, dehn_twist_b(2, 2))]
+    circles += [AttachingCircle(g, psi) for g in (1, 2) for psi in builtin_library(g)]
     for c in circles:
         sigma_route = relation_of_attach2(group, c, cache)
         direct_route = relation_of_attach2_direct(group, c, cache)

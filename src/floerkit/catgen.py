@@ -223,20 +223,18 @@ def relation_bicategory(group, max_pool=64, name=None):
 
     comp_of = {ch: complete_chain(ch) for ch in chains}
 
-    def hcomp(x, y):
-        z = x + y
-        if len(z) <= 2 and all(i in pool_ids for i in z):
-            return z
-        return (complete_chain(z),)
-
+    # chains compose by concatenation while that stays a chain, else to
+    # the one-step chain of their complete composition
     hcomp1 = {}
     for x in chains:
         for y in chains:
-            if one[x][1] != one[y][0]:
-                continue
-            hcomp1[(x, y)] = hcomp(x, y)
+            if one[x][1] == one[y][0]:
+                z = x + y
+                short = len(z) <= 2 and all(i in pool_ids for i in z)
+                hcomp1[(x, y)] = z if short else (complete_chain(z),)
 
-    # thin 2-cells between chains with equal complete composition
+    # thin 2-cells between chains with equal complete composition, family
+    # by family; (c1, c2) then (c2, c3) is (c1, c3)
     two = {}
     vcomp = {}
     families = {}
@@ -246,18 +244,19 @@ def relation_bicategory(group, max_pool=64, name=None):
         for c1 in members:
             for c2 in members:
                 two[(c1, c2)] = (c1, c2)
-    for (c1, c2) in two:
-        for (c2b, c3) in two:
-            if c2b == c2:
-                vcomp[((c1, c2), (c2, c3))] = (c1, c3)
+                for c3 in members:
+                    vcomp[((c1, c2), (c2, c3))] = (c1, c3)
     id2 = {ch: (ch, ch) for ch in chains}
 
+    # a 2-cell composes horizontally with the 2-cells between chains that
+    # leave the object its chains end at
+    two_from = {obj: [] for obj in objs}
+    for c in two:
+        two_from[one[c[0]][0]].append(c)
     hcomp2 = {}
     for (a1, a2) in two:
-        for (b1, b2) in two:
-            if one[a1][1] != one[b1][0]:
-                continue
-            hcomp2[((a1, a2), (b1, b2))] = (hcomp(a1, b1), hcomp(a2, b2))
+        for (b1, b2) in two_from[one[a1][1]]:
+            hcomp2[((a1, a2), (b1, b2))] = (hcomp1[(a1, b1)], hcomp1[(a2, b2)])
 
     weak_unit = {
         obj: (rel_id[diagonal_relation(cache.variety(obj))],) for obj in objs

@@ -4,9 +4,10 @@ bicategories, the Yoneda construction, and quotients by 2-isomorphisms.
 Everything is exactly validated: a FinCategory checks the identity laws on
 every morphism and associativity by Light's test at construction, a
 FinFunctor checks preservation on every morphism, a NatTransformation
-checks every naturality square.  Light's test (``_first_nonassociative``)
-is the one associativity check of the package: group tables and the
-vertical composition of 2-cells use it too.  Composition is written
+checks every naturality square.  The 2-cells of a FinBicategory under
+vertical composition are one FinCategory, so that check covers them.
+Light's test (``_first_nonassociative``) is the one associativity check of
+the package: group tables use it too.  Composition is written
 diagrammatically throughout: ``compose(f, g)`` means "f then g".
 """
 
@@ -184,8 +185,9 @@ class FinFunctor:
 
     def validate(self):
         C, D = self.source, self.target
+        objset = set(D.objects)
         for x in C.objects:
-            if self.obj_map.get(x) not in set(D.objects):
+            if self.obj_map.get(x) not in objset:
                 raise CategoryMismatch(
                     f"functor drops object {x!r}", witness=x
                 )
@@ -465,6 +467,11 @@ class FinBicategory:
     hcomp2: (alpha, beta) -> gamma, or None when the structure does not
         admit one (the quotient construction does not need it)
     weak_unit: obj -> 1mor, one designated unit per object
+
+    The 2-cells under vertical composition are the FinCategory
+    ``vertical`` over the 1-cells (``two``, ``vcomp`` and ``id2`` are its
+    tables); its failures are raised again as "vertical <message>" with
+    the same witness.
     """
 
     def __init__(self, objects, one_morphisms, two_morphisms, vcomp, id2,
@@ -472,56 +479,41 @@ class FinBicategory:
         self.name = name
         self.objects = tuple(objects)
         self.one = dict(one_morphisms)
-        self.two = dict(two_morphisms)
-        self.vcomp = dict(vcomp)
-        self.id2 = dict(id2)
         self.hcomp1 = dict(hcomp1)
         self.hcomp2 = dict(hcomp2) if hcomp2 is not None else None
         self.weak_unit = dict(weak_unit)
+        for f, (s, d) in self.one.items():
+            if s not in self.objects or d not in self.objects:
+                raise CategoryMismatch(f"1-morphism {f!r} mistyped", witness=f)
+        try:
+            self.vertical = FinCategory(
+                tuple(self.one), two_morphisms, vcomp, id2, name=f"{name} vertical"
+            )
+        except CategoryMismatch as err:
+            raise CategoryMismatch(f"vertical {err}", witness=err.witness) from None
+        self.two = self.vertical.morphisms
+        self.vcomp = self.vertical.comp
+        self.id2 = self.vertical.identity
         self.validate_hom_categories()
 
     # hom-category structure ------------------------------------------------
 
     def validate_hom_categories(self):
-        for f, (s, d) in self.one.items():
-            if s not in self.objects or d not in self.objects:
-                raise CategoryMismatch(f"1-morphism {f!r} mistyped", witness=f)
+        """What ``vertical`` cannot check: 2-cells between parallel
+        1-cells, the weak units and the horizontal composition tables."""
         for a, (f, g) in self.two.items():
-            if f not in self.one or g not in self.one:
-                raise CategoryMismatch(f"2-morphism {a!r} mistyped", witness=a)
             if self.one[f] != self.one[g]:
                 raise CategoryMismatch(
                     f"2-morphism {a!r} is not between parallel 1-morphisms",
                     witness=a,
                 )
-        for f in self.one:
-            i = self.id2.get(f)
-            if i not in self.two or self.two[i] != (f, f):
-                raise CategoryMismatch(f"missing identity 2-cell at {f!r}", witness=f)
-        starting, leaving, two_from = self._by_source()
-        two, vcomp = self.two, self.vcomp
-        composable = {(a, b) for a, (_, g) in two.items() for b, _ in leaving[g]}
-        if set(vcomp) != composable:
-            raise CategoryMismatch("vertical composition domain mismatch")
-        for (a, b), c in vcomp.items():
-            if two.get(c) != (two[a][0], two[b][1]):
-                raise CategoryMismatch(
-                    "vertical composite mistyped", witness=(a, b)
-                )
-        for a, (f, g) in two.items():
-            if vcomp[(self.id2[f], a)] != a or vcomp[(a, self.id2[g])] != a:
-                raise CategoryMismatch(
-                    f"vertical identity law fails at {a!r}", witness=a
-                )
-        witness = _first_nonassociative(two, {self.id2[f] for f in self.one}, vcomp)
-        if witness is not None:
-            raise CategoryMismatch("vertical associativity fails", witness=witness)
         for x in self.objects:
             u = self.weak_unit.get(x)
             if u not in self.one or self.one[u] != (x, x):
                 raise CategoryMismatch(
                     f"weak unit of {x!r} missing or mistyped", witness=x
                 )
+        starting, _, two_from = self._by_source()
         composable1 = {
             (f, g) for f, (_, d) in self.one.items() for g, _ in starting[d]
         }
@@ -535,9 +527,9 @@ class FinBicategory:
         if self.hcomp2 is not None:
             # counted, not collected into a set: the table can be large
             composable2 = 0
-            for a, (fa, _) in two.items():
+            for a, (fa, _) in self.two.items():
                 for b in two_from[self.one[fa][1]]:
-                    if self.hcomp2.get((a, b)) not in two:
+                    if self.hcomp2.get((a, b)) not in self.two:
                         raise CategoryMismatch(
                             "horizontal 2-composite missing or not a 2-cell",
                             witness=(a, b),
@@ -566,23 +558,17 @@ class FinBicategory:
         return starting, leaving, two_from
 
     def two_isomorphic(self, f, g):
-        """f ~ g via invertible vertical pairs."""
+        """f ~ g via invertible vertical pairs, looked up by their ends."""
         if self.one[f] != self.one[g]:
             return False
         if f == g:
             return True
-        for a, (s, d) in self.two.items():
-            if (s, d) != (f, g):
-                continue
-            for b, (s2, d2) in self.two.items():
-                if (s2, d2) != (g, f):
-                    continue
-                if (
-                    self.vcomp[(a, b)] == self.id2[f]
-                    and self.vcomp[(b, a)] == self.id2[g]
-                ):
-                    return True
-        return False
+        by_ends, vcomp = self.vertical.by_ends, self.vcomp
+        return any(
+            vcomp[(a, b)] == self.id2[f] and vcomp[(b, a)] == self.id2[g]
+            for a in by_ends.get((f, g), ())
+            for b in by_ends.get((g, f), ())
+        )
 
     def validate_bicategory(self):
         """Full axioms: interchange, identity compatibility, horizontal

@@ -230,7 +230,6 @@ class QuiltSurface:
         data = {
             "owner": owner,
             "alpha": alpha,
-            "sigma": sigma,
             "face_of": face_of,
             "faces": faces,
             "patches": patches,
@@ -283,8 +282,7 @@ class QuiltSurface:
         """
         if e not in self.ends:
             raise InvalidEnd(f"no end {e!r}", witness=e)
-        d = self.data()
-        owner = d["owner"]
+        self.data()  # raises InvalidEnd on a malformed surface
         seam_of = {}
         for s, (a, b) in self.seams.items():
             seam_of[a] = (s, 0)

@@ -365,12 +365,10 @@ def test_quotient_identifies_isomorphic_pair():
     assert q.class_of["f"] == q.class_of["g"]
 
 
-def strict_two_category(vcomp_edits=(), hcomp2_edits=()):
-    """One object, 1-cells f0, f1 composing as Z2, and 2-cells a{f}{m}:
-    f => f for m in Z3, composing as Z3 both ways; the edits overwrite
-    table entries, (pair, value) each."""
-    from floerkit.cats import FinBicategory
-
+def strict_tables():
+    """The FinBicategory arguments, by name, of one object, 1-cells f0, f1
+    composing as Z2, and 2-cells a{f}{m}: f => f for m in Z3, composing as
+    Z3 both ways."""
     one = {f"f{f}": ("x", "x") for f in range(2)}
     two = {f"a{f}{m}": (f"f{f}", f"f{f}") for f in range(2) for m in range(3)}
     vcomp = {
@@ -382,12 +380,22 @@ def strict_two_category(vcomp_edits=(), hcomp2_edits=()):
         (a, b): f"a{(int(a[1]) + int(b[1])) % 2}{(int(a[2]) + int(b[2])) % 3}"
         for a in two for b in two
     }
-    vcomp.update(vcomp_edits)
-    hcomp2.update(hcomp2_edits)
-    id2 = {f: f"a{f[1]}0" for f in one}
-    return FinBicategory(
-        ("x",), one, two, vcomp, id2, hcomp1, hcomp2, {"x": "f0"}, name="strict"
-    )
+    return {
+        "objects": ("x",), "one_morphisms": one, "two_morphisms": two,
+        "vcomp": vcomp, "id2": {f: f"a{f[1]}0" for f in one}, "hcomp1": hcomp1,
+        "hcomp2": hcomp2, "weak_unit": {"x": "f0"},
+    }
+
+
+def strict_two_category(vcomp_edits=(), hcomp2_edits=()):
+    """The bicategory of strict_tables(); the edits overwrite table
+    entries, (pair, value) each."""
+    from floerkit.cats import FinBicategory
+
+    tables = strict_tables()
+    tables["vcomp"].update(vcomp_edits)
+    tables["hcomp2"].update(hcomp2_edits)
+    return FinBicategory(**tables, name="strict")
 
 
 @pytest.mark.parametrize("table", ["vcomp", "hcomp1"])
@@ -437,6 +445,56 @@ def test_bicategory_vertical_witness_matches_brute_force(pair, value):
         strict_two_category(vcomp_edits={pair: value})
     assert str(err.value) == "vertical associativity fails"
     assert err.value.witness == expected
+
+
+# one edit of the strict 2-category's tables per way its 2-cells can fail
+# to be a category, with the start of FinCategory's message for it
+VERTICAL_FAILURES = {
+    "unknown-1-cell": (
+        lambda t: t["two_morphisms"].update(b=("f9", "f9")),
+        "morphism 'b' has endpoints outside the object set",
+    ),
+    "missing-identity": (
+        lambda t: t["id2"].pop("f1"), "identity of 'f1' missing"
+    ),
+    "domain": (
+        lambda t: t["vcomp"].pop(("a01", "a02")), "composition table domain mismatch"
+    ),
+    "not-a-cell": (
+        lambda t: t["vcomp"].update({("a01", "a02"): "zz"}),
+        "composite 'zz' not a morphism",
+    ),
+    "wrong-ends": (
+        lambda t: t["vcomp"].update({("a01", "a02"): "a10"}),
+        "composite of 'a01', 'a02' has wrong endpoints",
+    ),
+    "unit-law": (
+        lambda t: t["vcomp"].update({("a00", "a01"): "a02"}),
+        "left identity law fails at 'a01'",
+    ),
+    "associativity": (
+        lambda t: t["vcomp"].update({("a01", "a01"): "a00"}), "associativity fails"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", VERTICAL_FAILURES)
+def test_vertical_failure_is_the_vertical_category_failure(kind):
+    from floerkit.cats import FinBicategory
+
+    edit, message = VERTICAL_FAILURES[kind]
+    tables = strict_tables()
+    edit(tables)
+    with pytest.raises(CategoryMismatch) as expected:
+        FinCategory(
+            tuple(tables["one_morphisms"]), tables["two_morphisms"],
+            tables["vcomp"], tables["id2"],
+        )
+    assert str(expected.value).startswith(message)
+    with pytest.raises(CategoryMismatch) as err:
+        FinBicategory(**tables)
+    assert str(err.value) == f"vertical {expected.value}"
+    assert err.value.witness == expected.value.witness
 
 
 def test_interchange_check_matches_brute_force():
@@ -575,6 +633,59 @@ def test_relation_bicategory_composites_match_geometric_composition(group_name, 
     for (x, y), h in B.hcomp1.items():
         assert h == x + y or h == (folded(x + y),)
         assert folded(h) == folded(x + y)
+
+    # the thin tables, entries and order, against their pairwise
+    # definitions; every pool relation ends a two-step chain, with the
+    # diagonal of its target
+    pool = {i for ch in B.one if len(ch) == 2 for i in ch}
+
+    def hcomp(x, y):
+        z = x + y
+        return z if len(z) <= 2 and set(z) <= pool else (folded(z),)
+
+    pairs = list(itertools.product(B.two, repeat=2))
+    assert list(B.vcomp.items()) == [
+        (((c1, c2), (c2b, c3)), (c1, c3)) for (c1, c2), (c2b, c3) in pairs if c2 == c2b
+    ]
+    assert list(B.hcomp2.items()) == [
+        (((a1, a2), (b1, b2)), (hcomp(a1, b1), hcomp(a2, b2)))
+        for (a1, a2), (b1, b2) in pairs
+        if B.one[a1][1] == B.one[b1][0]
+    ]
+
+
+def invertible_pairs(B):
+    """The definition of 2-isomorphism, by a scan over all pairs of
+    2-cells: the (f, g) with some a: f => g and b: g => f whose vertical
+    composites are the identity 2-cells of f and of g."""
+    return {
+        B.two[a]
+        for a, b in itertools.product(B.two, repeat=2)
+        if B.two[a] == B.two[b][::-1]
+        and B.vcomp[(a, b)] == B.id2[B.two[a][0]]
+        and B.vcomp[(b, a)] == B.id2[B.two[a][1]]
+    }
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: relation_bicategory(cyclic_group(2)),
+        lambda: conjugacy_nonexample(3),
+        strict_two_category,
+        *(
+            lambda seed=seed: bicategory_with_identity_2cells(random_category(seed))
+            for seed in range(4)
+        ),
+    ],
+    ids=["Rel(Z2)", "maps3+conjugacy", "strict", *(f"random{s}+id2" for s in range(4))],
+)
+def test_two_isomorphic_matches_the_definition(make):
+    B = make()
+    expected = invertible_pairs(B)
+    assert expected >= {(f, f) for f in B.one}
+    for f, g in itertools.product(B.one, repeat=2):
+        assert B.two_isomorphic(f, g) == ((f, g) in expected), (f, g)
 
 
 def test_two_isomorphism_is_equivalence_random():

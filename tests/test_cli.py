@@ -757,6 +757,26 @@ def test_bad_hcomp2_table_fails_cat_validate(files):
         assert report["valid"] is False and "horizontal 2-composit" in report["violation"]
 
 
+def test_vertical_failure_report(tmp_path):
+    # the identity 2-cell of one 1-cell given as the composite of two
+    # identity 2-cells of another: the 2-cells are not a category
+    bic = bicategory_to_json(bicategory_with_identity_2cells(
+        poset_category(lambda x, y: x <= y, (0, 1), name="two")
+    ))
+    a, b, c = bic["vertical_composition"][0]
+    other = next(d for d in bic["two_morphisms"] if d != c)
+    bic["vertical_composition"][0] = [a, b, other]
+    path = tmp_path / "bic.json"
+    path.write_text(json.dumps(bic))
+    code, out, err = run_captured(["cat-validate", "--bicategory", str(path)])
+    assert (code, err) == (1, "")
+    assert out == fio.dumps({
+        "valid": False,
+        "violation": f"vertical composite of {a!r}, {b!r} has wrong endpoints",
+        "witness": repr((a, b, other)),
+    })
+
+
 def test_unlabeled_diagram_keeps_its_full_report(files):
     for name in UNLABELED_DIAGRAMS:
         code, out, _ = run_captured(

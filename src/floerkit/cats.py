@@ -401,19 +401,34 @@ def all_functors(C, D, limit=None):
 
 
 def all_nats(F, G):
-    """All natural transformations F => G: each choice of components, in
-    order, that is natural."""
+    """All natural transformations F => G, in product order of their
+    components: objects in repr order, each component among the morphisms
+    F(x) -> G(x) in repr order.  Components are chosen object by object;
+    the naturality square of a morphism x -> y is checked as soon as the
+    components at x and y are both chosen."""
     C, D = F.source, F.target
     objs = sorted(C.objects, key=repr)
-    # candidates[i]: the morphisms F(x) -> G(x) for x = objs[i], in repr order
-    candidates = [D.by_ends.get((F.obj_map[x], G.obj_map[x]), ()) for x in objs]
-    out = []
-    for choice in itertools.product(*candidates):
-        try:
-            out.append(NatTransformation(F, G, dict(zip(objs, choice))))
-        except CategoryMismatch:
-            pass
-    return out
+    position = {x: i for i, x in enumerate(objs)}
+    # squares of each k: x -> y, by the later of x and y: (F(k), i_x, i_y, G(k))
+    squares = [[] for _ in objs]
+    for k, (x, y) in C.morphisms.items():
+        i, j = position[x], position[y]
+        squares[max(i, j)].append((F.mor_map[k], i, j, G.mor_map[k]))
+    comp = D.comp
+    chosen = [()]
+    for x, at in zip(objs, squares):
+        hom = D.by_ends.get((F.obj_map[x], G.obj_map[x]), ())
+        grown = []
+        for c in chosen:
+            for m in hom:
+                nxt = c + (m,)
+                for fk, i, j, gk in at:
+                    if comp[(fk, nxt[j])] != comp[(nxt[i], gk)]:
+                        break
+                else:
+                    grown.append(nxt)
+        chosen = grown
+    return [NatTransformation(F, G, dict(zip(objs, c))) for c in chosen]
 
 
 def functor_category(C, D, functor_limit=None):

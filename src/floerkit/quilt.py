@@ -15,12 +15,17 @@ the right patch to the left patch.  Outgoing ends read their seams in
 rotation order oriented into the end; incoming ends read in reversed
 rotation order oriented away, which is what makes both cyclic label
 sequences compose.
+
+The record traced by ``QuiltSurface.analyze`` is the one half-edge index:
+each seam-end's end, partner, face and the seam oriented into it.  End
+sequences and nodes, gluing, shrinking and isomorphism read only that.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     CyclicMismatch,
@@ -51,6 +56,15 @@ class GenericMorphism:
         return f"{self.name}^T" if self.flipped else self.name
 
 
+def _check(report, name, ok, detail=None):
+    """Append a check/status/detail entry to a validation report."""
+    entry = {"check": name, "status": "pass" if ok else "fail"}
+    if detail is not None:
+        entry["detail"] = detail
+    report.append(entry)
+    return ok
+
+
 class QuiltSurface:
     """Rotation-system presentation of a quilted surface.
 
@@ -73,19 +87,20 @@ class QuiltSurface:
 
     def analyze(self):
         """Check well-formedness; returns (report, data).  Report entries
-        are dicts with check/status/detail; data holds the derived maps
-        when the structure is sound enough to compute them.  The cache also
-        keeps the traced structure for ``core_data``."""
+        are dicts with check/status/detail; data is the traced record when
+        every check passes, else None; the cache also keeps it for
+        ``core_data`` once the rotation system itself is sound.  Its keys:
+        owner (seam-end -> (end, index in its rotation order)), alpha
+        (seam-end -> the other seam-end of its seam), into (seam-end h ->
+        the seam oriented into h: (seam, +1) if h is the stored head b of
+        (a, b), (seam, -1) if h is the tail a), face_of (seam-end -> traced
+        face), faces (face -> orbit under sigma o alpha), patches (faces and
+        circle regions, sorted), patch_face (patch -> its traced face),
+        euler and genus."""
         if self._analysis is not None:
             return self._analysis[:2]
         report = []
-
-        def check(name, ok, detail=None):
-            entry = {"check": name, "status": "pass" if ok else "fail"}
-            if detail is not None:
-                entry["detail"] = detail
-            report.append(entry)
-            return ok
+        check = partial(_check, report)
 
         owner = {}
         duplicates = []
@@ -97,6 +112,7 @@ class QuiltSurface:
         check("seam-ends attached once", not duplicates, duplicates or None)
 
         alpha = {}
+        into = {}
         bad_seams = []
         for s, pair in self.seams.items():
             if len(pair) != 2 or pair[0] == pair[1]:
@@ -108,6 +124,8 @@ class QuiltSurface:
                 continue
             alpha[a] = b
             alpha[b] = a
+            into[a] = (s, -1)
+            into[b] = (s, +1)
         check("interval seams pair two attached seam-ends", not bad_seams, bad_seams or None)
         dangling = sorted(set(owner) - set(alpha), key=repr)
         check("every seam-end belongs to a seam", not dangling, dangling or None)
@@ -230,6 +248,7 @@ class QuiltSurface:
         data = {
             "owner": owner,
             "alpha": alpha,
+            "into": into,
             "face_of": face_of,
             "faces": faces,
             "patches": patches,
@@ -242,22 +261,20 @@ class QuiltSurface:
         return self._analysis[:2]
 
     def data(self):
-        report, data = self.analyze()
-        if data is None:
-            bad = [e for e in report if e["status"] == "fail"]
-            raise InvalidEnd(f"malformed quilt surface: {bad}", witness=bad)
-        return data
+        return self._traced(self.analyze()[1])
 
     def core_data(self):
-        """Traced structure (faces, owners, alpha) even when the circle or
-        bare-end bookkeeping is not settled yet; raises only when the
-        rotation system itself is malformed."""
-        report, _ = self.analyze()
-        core = self._analysis[2]
-        if core is None:
-            bad = [e for e in report if e["status"] == "fail"]
+        """Traced record even when the circle or bare-end bookkeeping is
+        not settled yet; raises only when the rotation system itself is
+        malformed."""
+        self.analyze()
+        return self._traced(self._analysis[2])
+
+    def _traced(self, record):
+        if record is None:
+            bad = [e for e in self._analysis[0] if e["status"] == "fail"]
             raise InvalidEnd(f"malformed quilt surface: {bad}", witness=bad)
-        return core
+        return record
 
     # -- seam geometry ---------------------------------------------------
 
@@ -277,41 +294,34 @@ class QuiltSurface:
 
         Entries are (seam_id, +1) when the sequence orientation agrees
         with the stored orientation, (seam_id, -1) otherwise; outgoing
-        ends are read in rotation order oriented into the end, incoming
-        ends in reversed order oriented away from it.
+        ends are read in rotation order oriented into the end (the traced
+        ``into`` entries), incoming ends in reversed order oriented away
+        from it (those entries reversed).
         """
-        if e not in self.ends:
-            raise InvalidEnd(f"no end {e!r}", witness=e)
-        self.data()  # raises InvalidEnd on a malformed surface
-        seam_of = {}
-        for s, (a, b) in self.seams.items():
-            seam_of[a] = (s, 0)
-            seam_of[b] = (s, 1)
-        out = []
-        order = self.ends[e]
+        data, order = self._end(e)
+        into = data["into"]
         if e == self.outgoing:
-            for h in order:
-                s, pos = seam_of[h]
-                # oriented into the end: head at h, i.e. stored when h == b
-                out.append((s, +1 if pos == 1 else -1))
-        else:
-            for h in reversed(order):
-                s, pos = seam_of[h]
-                # oriented away: tail at h, i.e. stored when h == a
-                out.append((s, +1 if pos == 0 else -1))
-        return tuple(out)
+            return tuple(into[h] for h in order)
+        return tuple((s, -d) for s, d in (into[h] for h in reversed(order)))
 
     def end_nodes(self, e):
         """Patch at each node of the end's cyclic sequence: node i is the
         source patch of the i-th oriented seam."""
-        seq = self.end_sequence(e)
-        nodes = []
-        for s, direction in seq:
-            pm, pp = self.seam_sides(s)
-            nodes.append(pm if direction == +1 else pp)
-        if not seq:
-            nodes = [self.end_patch[e]]
-        return tuple(nodes)
+        data, order = self._end(e)
+        face_of = data["face_of"]
+        if not order:
+            return (self.end_patch[e],)
+        if e == self.outgoing:
+            return tuple(face_of[h] for h in order)
+        alpha = data["alpha"]
+        return tuple(face_of[alpha[h]] for h in reversed(order))
+
+    def _end(self, e):
+        """The traced record and the rotation order at end e; raises
+        InvalidEnd for an unknown end or a malformed surface."""
+        if e not in self.ends:
+            raise InvalidEnd(f"no end {e!r}", witness=e)
+        return self.data(), self.ends[e]
 
 
 class QuiltDiagram:
@@ -337,12 +347,7 @@ class QuiltDiagram:
         report = list(report)
         if data is None:
             return report
-
-        def check(name, ok, detail=None):
-            entry = {"check": name, "status": "pass" if ok else "fail"}
-            if detail is not None:
-                entry["detail"] = detail
-            report.append(entry)
+        check = partial(_check, report)
 
         missing = [p for p in data["patches"] if p not in self.patch_labels]
         check("patches labeled by objects", not missing, missing or None)
@@ -578,10 +583,16 @@ def _resurface(
         },
         end_patch={e: rename.get(p, p) for e, p in end_patch.items()},
     )
-    out = QuiltDiagram(surface, labels, seam_labels)
-    if not out.is_valid():
-        raise error(message, witness=out.validate())
-    return out
+    return _valid_or_raise(QuiltDiagram(surface, labels, seam_labels), error, message)
+
+
+def _valid_or_raise(q: QuiltDiagram, error, message):
+    """q itself when it validates; else ``error(message)`` carrying the
+    validation report as its witness."""
+    report = q.validate()
+    if any(entry["status"] == "fail" for entry in report):
+        raise error(message, witness=report)
+    return q
 
 
 def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
@@ -597,9 +608,11 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
     s1 = q1.surface
     s2 = q2.surface
     labels1 = q1.end_labels(s1.outgoing)
-    objs1 = tuple(q1.patch_labels[p] for p in s1.end_nodes(s1.outgoing))
+    nodes1 = s1.end_nodes(s1.outgoing)
+    objs1 = tuple(q1.patch_labels[p] for p in nodes1)
     labels2 = q2.end_labels(e)
-    objs2 = tuple(q2.patch_labels[p] for p in s2.end_nodes(e))
+    nodes2 = s2.end_nodes(e)
+    objs2 = tuple(q2.patch_labels[p] for p in nodes2)
     k = len(labels1)
     if len(labels2) != k:
         raise CyclicMismatch(
@@ -621,18 +634,10 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
             witness={"position": first_bad, "left": repr(labels1), "right": repr(labels2)},
         )
 
-    def tag1(x):
-        return ("L", x)
-
-    def tag2(x):
-        return ("R", x)
-
-    # per side tag: the diagram and the traced faces of its half-edges
-    sides = {"L": (q1, s1.data()["face_of"]), "R": (q2, s2.data()["face_of"])}
+    # per side tag ("L" or "R" on every id): the diagram and its traced record
+    sides = {"L": (q1, s1.data()), "R": (q2, s2.data())}
 
     # node-patch identification along the glued ends
-    nodes1 = s1.end_nodes(s1.outgoing)
-    nodes2 = s2.end_nodes(e)
     ident = {}  # tagged patch -> representative tagged patch
 
     def find(x):
@@ -640,13 +645,10 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
             x = ident[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            ident[ry] = rx
-
     for i in range(len(nodes1)):
-        union(tag1(nodes1[i]), tag2(nodes2[(i + offset) % len(nodes2)]))
+        x, y = find(("L", nodes1[i])), find(("R", nodes2[(i + offset) % len(nodes2)]))
+        if x != y:
+            ident[y] = x
 
     # weld seams across the junction
     half1 = list(s1.ends[s1.outgoing])
@@ -655,30 +657,26 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
     for i in range(len(half1)):
         h1 = half1[i]
         h2 = half2_rev[(i + offset) % len(half2_rev)]
-        junction[tag1(h1)] = tag2(h2)
-        junction[tag2(h2)] = tag1(h1)
+        junction[("L", h1)] = ("R", h2)
+        junction[("R", h2)] = ("L", h1)
 
-    # seam pairing, and the directed label into each half-edge for
-    # rebuilding welded labels
-    alpha = {}
-    directed = {}
-    for q, tag in ((q1, tag1), (q2, tag2)):
-        for s, (a, b) in q.surface.seams.items():
-            alpha[tag(a)] = tag(b)
-            alpha[tag(b)] = tag(a)
-            directed[tag(b)] = q.seam_labels[s]
-            directed[tag(a)] = q.seam_labels[s].transpose()
+    # seam pairing across both sides
+    alpha = {
+        (side, h): (side, h2)
+        for side, (_, data) in sides.items()
+        for h, h2 in data["alpha"].items()
+    }
 
     # the ends that stay, and the patches of the bare ones among them
     new_ends = {}
     end_patch = {}
-    for tag, s_obj, glued in ((tag1, s1, s1.outgoing), (tag2, s2, e)):
+    for side, s_obj, glued in (("L", s1, s1.outgoing), ("R", s2, e)):
         for end_id, order in s_obj.ends.items():
             if end_id == glued:
                 continue
-            new_ends[tag(end_id)] = tuple(tag(h) for h in order)
+            new_ends[(side, end_id)] = tuple((side, h) for h in order)
             if not order:
-                end_patch[tag(end_id)] = find(tag(s_obj.end_patch[end_id]))
+                end_patch[(side, end_id)] = find((side, s_obj.end_patch[end_id]))
 
     surviving = {h for order in new_ends.values() for h in order}
     new_seams = {}
@@ -701,7 +699,9 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
         new_seams[sid] = (h, cur)
         visited.add(h)
         visited.add(cur)
-        new_labels[sid] = directed[cur]
+        side, raw = cur
+        q, data = sides[side]
+        new_labels[sid] = q.label(*data["into"][raw])
 
     # matched loops can weld into closed curves that touch no surviving
     # seam-end; those become circle seams between the adjacent regions
@@ -716,41 +716,40 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
             visited.add(junction[cur])
             cur = alpha[junction[cur]]
         side, raw = h
-        q, face_of = sides[side]
-        seam_id, (a, b) = next(
-            (sid, pair) for sid, pair in q.surface.seams.items() if raw in pair
-        )
+        q, data = sides[side]
+        seam_id = data["into"][raw][0]
         cid = ("wc", idx)
         idx += 1
-        circle_seams[cid] = (find((side, face_of[b])), find((side, face_of[a])))
+        circle_seams[cid] = tuple(find((side, p)) for p in q.surface.seam_sides(seam_id))
         circle_labels[cid] = q.seam_labels[seam_id]
 
     # patch labels and circle seams through the identification
     patch_labels = {}
     for p, lab in q1.patch_labels.items():
-        patch_labels[find(tag1(p))] = lab
+        patch_labels[find(("L", p))] = lab
     for p, lab in q2.patch_labels.items():
-        rep = find(tag2(p))
+        rep = find(("R", p))
         if rep in patch_labels and patch_labels[rep] != lab:
             raise LabelMismatch(
                 "glued patches carry different objects", witness=(p, repr(lab))
             )
         patch_labels[rep] = lab
 
-    for q, tag in ((q1, tag1), (q2, tag2)):
+    for side, (q, _) in sides.items():
         for cid, (pm, pp) in q.surface.circle_seams.items():
-            circle_seams[tag(cid)] = (find(tag(pm)), find(tag(pp)))
-            circle_labels[tag(cid)] = q.seam_labels[cid]
+            circle_seams[(side, cid)] = (find((side, pm)), find((side, pp)))
+            circle_labels[(side, cid)] = q.seam_labels[cid]
 
     # the traced faces of the glued surface are unions of old patches
     old_patch_of_half = {
-        (side, raw): find((side, sides[side][1][raw])) for side, raw in surviving
+        (side, raw): find((side, sides[side][1]["face_of"][raw]))
+        for side, raw in surviving
     }
     seam_labels = dict(new_labels)
     seam_labels.update(circle_labels)
     out = _resurface(
         new_ends,
-        tag2(s2.outgoing),
+        ("R", s2.outgoing),
         new_seams,
         circle_seams,
         end_patch,
@@ -783,11 +782,7 @@ def shrink_strip(q: QuiltDiagram, p):
                 witness=p,
             )
         h1, h2 = orbit
-        seam_of = {}
-        for s, (a, b) in surface.seams.items():
-            seam_of[a] = s
-            seam_of[b] = s
-        s_a, s_b = seam_of[h1], seam_of[h2]
+        (s_a, d_a), (s_b, d_b) = data["into"][h1], data["into"][h2]
         if s_a == s_b:
             raise NotAStrip(
                 f"patch {p!r} is bounded by one seam on both sides", witness=p
@@ -796,12 +791,11 @@ def shrink_strip(q: QuiltDiagram, p):
             raise NotAStrip(f"patch {p!r} carries a bare end", witness=p)
         if any(p in sides for sides in surface.circle_seams.values()):
             raise NotAStrip(f"patch {p!r} touches circle seams", witness=p)
-        alpha = data["alpha"]
-        x, y = alpha[h1], alpha[h2]
+        x, y = data["alpha"][h1], data["alpha"][h2]
         # crossing label from face(x) through the strip to face(y):
         # into h1 runs p -> face(x), so transpose; into h2 runs p -> face(y)
-        lab_in = _oriented_label(q, s_a, head=h1).transpose()
-        lab_out = _oriented_label(q, s_b, head=h2)
+        lab_in = q.label(s_a, d_a).transpose()
+        lab_out = q.label(s_b, d_b)
         composed, witness = _join(lab_in, lab_out)
         if witness is not None:
             raise NotEmbedded(
@@ -875,17 +869,7 @@ def shrink_strip(q: QuiltDiagram, p):
     }
     seam_labels[cid] = composed
     out = QuiltDiagram(new_surface, patch_labels, seam_labels)
-    if not out.is_valid():
-        raise NotAStrip(
-            "shrinking produced an invalid diagram", witness=out.validate()
-        )
-    return out
-
-
-def _oriented_label(q: QuiltDiagram, s, head):
-    """Label of seam s oriented with the given head seam-end."""
-    label = q.seam_labels[s]
-    return label if head == q.surface.seams[s][1] else label.transpose()
+    return _valid_or_raise(out, NotAStrip, "shrinking produced an invalid diagram")
 
 
 # -- canonical diagram constructors ----------------------------------------------
@@ -1053,10 +1037,7 @@ def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
     d1, d2 = s1.data(), s2.data()
     ends1 = sorted(s1.ends, key=repr)
     ends2 = sorted(s2.ends, key=repr)
-    seam_at = {}  # (a, b) -> (seam of q2, +1 if stored as (a, b) else -1)
-    for s, (a, b) in s2.seams.items():
-        seam_at[(a, b)] = (s, +1)
-        seam_at[(b, a)] = (s, -1)
+    alpha2, into2 = d2["alpha"], d2["into"]
 
     def try_map(triples):
         # triples: (end of q1, its image end of q2, rotation)
@@ -1065,10 +1046,11 @@ def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
             o1, o2 = s1.ends[e1], s2.ends[e2]
             for i, h in enumerate(o1):
                 half_map[h] = o2[(i + rot) % len(o2)]
-        # seams must map to seams with equal labels
+        # seams must map to seams with equal labels: the image of a -> b
+        # is the seam of q2 oriented into the image of b
         for s, (a, b) in s1.seams.items():
-            hit = seam_at.get((half_map[a], half_map[b]))
-            if hit is None or q1.seam_labels[s] != q2.label(*hit):
+            x, y = half_map[a], half_map[b]
+            if alpha2[x] != y or q1.seam_labels[s] != q2.label(*into2[y]):
                 return False
         # patch labels must transport
         for h, h2 in half_map.items():

@@ -177,6 +177,52 @@ def test_all_functors_match_brute_force_in_order():
             assert [(F.obj_map, F.mor_map) for F in ours] == brute[:limit], (seed, limit)
 
 
+def brute_nats(F, G):
+    """Component tuples (objects in repr order) of the natural
+    transformations F => G: the whole product of the hom-sets F(x) -> G(x),
+    each in repr order of its (id, ends) items, filtered by every
+    naturality square; also the size of that product."""
+    C, D = F.source, F.target
+    objs = sorted(C.objects, key=repr)
+    homs = [
+        sorted(
+            (m for m, ends in D.morphisms.items() if ends == (F.obj_map[x], G.obj_map[x])),
+            key=lambda m: repr((m, D.morphisms[m])),
+        )
+        for x in objs
+    ]
+    out = []
+    candidates = 0
+    for choice in itertools.product(*homs):
+        candidates += 1
+        eta = dict(zip(objs, choice))
+        if all(
+            D.comp[(F.mor_map[k], eta[y])] == D.comp[(eta[x], G.mor_map[k])]
+            for k, (x, y) in C.morphisms.items()
+        ):
+            out.append(choice)
+    return out, candidates
+
+
+def test_all_nats_match_product_and_filter_in_order():
+    # the functor categories of the law suite: random_category seeds with
+    # at most 8 morphisms, the first 12 functors of each
+    seeds = [s for s in range(50) if len(random_category(s).morphisms) <= 8]
+    assert len(seeds) >= 20
+    rejected = 0
+    for seed in seeds:
+        C = random_category(seed)
+        objs = sorted(C.objects, key=repr)
+        functors = all_functors(C, C, limit=12)
+        for F, G in itertools.product(functors, repeat=2):
+            ours = all_nats(F, G)
+            assert all(eta.F is F and eta.G is G for eta in ours)
+            brute, candidates = brute_nats(F, G)
+            assert [tuple(eta.components[x] for x in objs) for eta in ours] == brute, seed
+            rejected += candidates - len(brute)
+    assert rejected > 0  # the filter is not vacuous
+
+
 def test_nat_vertical_compose_identity():
     C, D = two_chain(), three_chain()
     functors = all_functors(C, D)

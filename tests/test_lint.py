@@ -20,8 +20,19 @@ from floerkit.catgen import relation_bicategory
 from floerkit.cats import quotient_by_2isos, yoneda
 from floerkit.fieldfun import PartialFunctorSpec, verify_cerf_compatibility
 from floerkit.groups import cyclic_group, symmetric_group
-from floerkit.quilt import cap_diagram, evaluates_to_identity, quilt_glue, snake_frame_diagram
-from floerkit.repvar import VarietyCache, relation_of_attach2, repvariety
+from floerkit.io import diagram_from_json, diagram_to_json
+from floerkit.quilt import (
+    cap_diagram,
+    cup_diagram,
+    cylinder_diagram,
+    diagrams_isomorphic,
+    evaluates_to_identity,
+    quilt_glue,
+    shrink_strip,
+    snake_frame_diagram,
+)
+from floerkit.repvar import VarietyCache, relation_of_attach2, relation_of_cyl, repvariety
+from floerkit.words import dehn_twist_a
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "floerkit").glob("*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -64,6 +75,34 @@ def zigzag():
     )
 
 
+def glue_and_shrink():
+    # a three-seam cylinder glued onto itself; every strip of the result
+    # shrinks embeddedly
+    cache = VarietyCache(S3)
+    Y = relation_of_attach2(S3, canonical_circle(1), cache)
+    G = relation_of_cyl(S3, dehn_twist_a(1), cache)
+    cylinder = cylinder_diagram([G, Y, Y.transpose()])
+    glued = quilt_glue(cylinder, cylinder, "in")
+    for p in glued.surface.data()["patches"]:
+        assert shrink_strip(glued, p).is_valid()
+
+
+def isomorphism():
+    cache = VarietyCache(S3)
+    Y = relation_of_attach2(S3, canonical_circle(1), cache)
+    G = relation_of_cyl(S3, dehn_twist_a(1), cache)
+    assert diagrams_isomorphic(cup_diagram(Y), cap_diagram(Y.transpose()))
+    assert not diagrams_isomorphic(
+        cylinder_diagram([Y, Y.transpose()]), cylinder_diagram([G, G.transpose()])
+    )
+
+
+def diagram_json_round_trip():
+    Y = relation_of_attach2(S3, canonical_circle(1), VarietyCache(S3))
+    zigzag = quilt_glue(cap_diagram(Y), snake_frame_diagram(Y), "aux")
+    assert diagrams_isomorphic(diagram_from_json(S3, diagram_to_json(zigzag)), zigzag)
+
+
 def relation_bicategory_views():
     B = relation_bicategory(cyclic_group(2))
     yoneda(B, B.objects[0])
@@ -75,6 +114,9 @@ def relation_bicategory_views():
 # encoding functions refer to each other
 LIBRARY_CALLS = {
     "zigzag": zigzag,
+    "quilt_glue+shrink_strip": glue_and_shrink,
+    "diagrams_isomorphic": isomorphism,
+    "io.diagram_to_json": diagram_json_round_trip,
     "relation_bicategory": relation_bicategory_views,
     "verify_cerf_compatibility": lambda: verify_cerf_compatibility(
         PartialFunctorSpec(S3), genera=(1,)

@@ -596,3 +596,73 @@ def test_evaluate_checks_every_input_before_pinning(rels):
         with pytest.raises(InputNotGenerator):
             quilt_evaluate(q, {"in": t, "in2": ()})
     assert quilt_evaluate(q, {"in": clash, "in2": (clash[0],)}) == set()
+
+
+def scan_end_sequence(surf, e):
+    """end_sequence as defined by scanning the seams for each seam-end."""
+    seam_of = {}
+    for s, (a, b) in surf.seams.items():
+        seam_of[a] = (s, 0)
+        seam_of[b] = (s, 1)
+    out = []
+    if e == surf.outgoing:
+        for h in surf.ends[e]:
+            s, pos = seam_of[h]
+            # oriented into the end: stored when h is the head b
+            out.append((s, +1 if pos == 1 else -1))
+    else:
+        for h in reversed(surf.ends[e]):
+            s, pos = seam_of[h]
+            # oriented away from the end: stored when h is the tail a
+            out.append((s, +1 if pos == 0 else -1))
+    return tuple(out)
+
+
+def scan_seam_sides(surf, s):
+    """(patch_minus, patch_plus) of seam s from the traced faces."""
+    if s in surf.circle_seams:
+        return surf.circle_seams[s]
+    face_of = surf.data()["face_of"]
+    a, b = surf.seams[s]
+    return face_of[b], face_of[a]
+
+
+def scan_end_nodes(surf, e):
+    """end_nodes as the source patch of each oriented seam of the end."""
+    seq = scan_end_sequence(surf, e)
+    if not seq:
+        return (surf.end_patch[e],)
+    return tuple(scan_seam_sides(surf, s)[0 if d == +1 else 1] for s, d in seq)
+
+
+def test_end_index_matches_seam_scan(rels):
+    Y, G, D = rels["Y"], rels["G"], rels["D"]
+    cylinder = cylinder_diagram([G, Y, Y.transpose()])
+    fixtures = {
+        "cylinder": cylinder,
+        "cap": cap_diagram(Y),
+        "cup": cup_diagram(Y),
+        "snake": snake_frame_diagram(Y),
+        "vertical": vertical_composition_diagram(D, D, D),
+        "object cylinder": object_cylinder_diagram(D.source),
+        "cylinder onto cylinder": quilt_glue(cylinder, cylinder, "in"),
+        "bubble weld": quilt_glue(*_bubble_pair(rels), "ein"),
+        "annulus shrunk": shrink_strip(_annulus(rels), "mid"),
+    }
+    for name, label in (("Y", Y), ("B", rels["B"])):
+        fixtures[f"zigzag {name}"] = quilt_glue(
+            cap_diagram(label), snake_frame_diagram(label), "aux"
+        )
+    for p in cylinder.surface.data()["patches"]:
+        try:
+            fixtures[f"shrunk {p}"] = shrink_strip(cylinder, p)
+        except (NotAStrip, NotEmbedded):
+            pass
+    assert sum(name.startswith("shrunk") for name in fixtures) >= 2
+    for name, q in fixtures.items():
+        s = q.surface
+        for e in s.ends:
+            assert s.end_sequence(e) == scan_end_sequence(s, e), (name, e)
+            assert s.end_nodes(e) == scan_end_nodes(s, e), (name, e)
+        for sid in list(s.seams) + list(s.circle_seams):
+            assert s.seam_sides(sid) == scan_seam_sides(s, sid), (name, sid)

@@ -255,6 +255,13 @@ class NatTransformation:
         self.name = name
         self.validate()
 
+    @classmethod
+    def _checked(cls, F, G, components):
+        """eta from components that ``all_nats`` has checked: no validate."""
+        eta = cls.__new__(cls)
+        eta.F, eta.G, eta.components, eta.name = F, G, components, "eta"
+        return eta
+
     def at(self, x):
         return self.components[x]
 
@@ -406,6 +413,8 @@ def all_nats(F, G):
     F(x) -> G(x) in repr order.  Components are chosen object by object;
     the naturality square of a morphism x -> y is checked as soon as the
     components at x and y are both chosen."""
+    if F.source != G.source or F.target != G.target:
+        raise CategoryMismatch("natural transformation needs parallel functors")
     C, D = F.source, F.target
     objs = sorted(C.objects, key=repr)
     position = {x: i for i, x in enumerate(objs)}
@@ -428,7 +437,7 @@ def all_nats(F, G):
                 else:
                     grown.append(nxt)
         chosen = grown
-    return [NatTransformation(F, G, dict(zip(objs, c))) for c in chosen]
+    return [NatTransformation._checked(F, G, dict(zip(objs, c))) for c in chosen]
 
 
 def functor_category(C, D, functor_limit=None):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import (
     CyclicMismatch,
@@ -119,7 +119,8 @@ class QuiltSurface:
                 bad_seams.append(s)
                 continue
             a, b = pair
-            if a not in owner or b not in owner:
+            # a seam-end already paired would make alpha no involution
+            if a not in owner or b not in owner or a in alpha or b in alpha:
                 bad_seams.append(s)
                 continue
             alpha[a] = b
@@ -327,12 +328,16 @@ class QuiltSurface:
 class QuiltDiagram:
     """A quilt surface with object labels on patches and 1-morphism labels
     on seams.  Each seam stores the label of its canonical orientation;
-    the opposite orientation carries the transpose."""
+    the opposite orientation carries the transpose.
+
+    Not changed once built, it caches on first use its end chains and the
+    plan of ``quilt_evaluate``, which hold no reference back to it."""
 
     def __init__(self, surface: QuiltSurface, patch_labels, seam_labels):
         self.surface = surface
         self.patch_labels = dict(patch_labels)
         self.seam_labels = dict(seam_labels)
+        self._chains = {}
 
     def label(self, s, direction=+1):
         lab = self.seam_labels[s]
@@ -391,7 +396,27 @@ class QuiltDiagram:
 
     def end_cyclic_chain(self, e):
         """The cyclic chain of relations at an end (relation mode)."""
-        return CyclicChain(self.end_labels(e))
+        chain = self._chains.get(e)
+        if chain is None:
+            chain = self._chains[e] = CyclicChain(self.end_labels(e))
+        return chain
+
+    @cached_property
+    def _evaluation_plan(self):
+        """(incoming ends, their nodes, patch order, seam checks per level,
+        output positions) for the search of ``quilt_evaluate``."""
+        s = self.surface
+        incoming = s.incoming_ends()
+        in_nodes = tuple(s.end_nodes(e) for e in incoming)
+        pinned = {p for nodes in in_nodes for p in nodes}
+        order = sorted(s.data()["patches"], key=lambda p: (p not in pinned, repr(p)))
+        by_patch = {p: i for i, p in enumerate(order)}
+        levels = [[] for _ in order]
+        for seam in sorted(set(s.seams) | set(s.circle_seams), key=repr):
+            im, ip = (by_patch[p] for p in s.seam_sides(seam))
+            levels[max(im, ip)].append((im, ip, self.seam_labels[seam].pairs))
+        out_at = tuple(by_patch[p] for p in s.end_nodes(s.outgoing))
+        return incoming, in_nodes, order, levels, out_at
 
     def __repr__(self):
         d = self.surface.analyze()[1]
@@ -439,13 +464,12 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
     first, each group in repr order, through generators chained level by
     level; each seam is checked at the level of the later of its two
     patches, so only one assignment per level is held at a time.
+    The end chains, their generator tuples and this plan are cached on
+    the diagram; the budget is checked on every call.
     """
     if not q.relation_mode():
         raise LabelMismatch("evaluation needs relation labels")
-    surface = q.surface
-    data = surface.data()
-    patches = data["patches"]
-    incoming = surface.incoming_ends()
+    incoming, in_nodes, order, levels, out_at = q._evaluation_plan
     if set(inputs) != set(incoming):
         raise InputNotGenerator(
             f"inputs must cover exactly the incoming ends {incoming}",
@@ -453,16 +477,14 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
         )
 
     pins = []
-    for e in incoming:
-        nodes = surface.end_nodes(e)
+    for e, nodes in zip(incoming, in_nodes):
         tup = tuple(inputs[e])
         if len(tup) != len(nodes):
             raise InputNotGenerator(
                 f"input at {e!r} has length {len(tup)}, end has {len(nodes)} nodes",
                 witness=e,
             )
-        gens = generator_set(q.end_cyclic_chain(e))
-        if tup not in gens:
+        if tup not in generator_set(q.end_cyclic_chain(e)):
             raise InputNotGenerator(
                 f"input at {e!r} is not a generator of the end", witness=(e, tup)
             )
@@ -476,23 +498,15 @@ def quilt_evaluate(q: QuiltDiagram, inputs, budget=None):
 
     if budget is not None:
         est = 1
-        for p in patches:
+        for p in order:
             est *= max(len(q.patch_labels[p].points), 1)
         if est > budget:
             raise ResourceLimit(f"assignment space of size {est}", witness=est)
 
-    order = sorted(patches, key=lambda p: (p not in pinned, repr(p)))
-    by_patch = {p: i for i, p in enumerate(order)}
-    cons_by_latest = [[] for _ in order]
-    for s in sorted(set(surface.seams) | set(surface.circle_seams), key=repr):
-        im, ip = (by_patch[p] for p in surface.seam_sides(s))
-        cons_by_latest[max(im, ip)].append((im, ip, q.seam_labels[s].pairs))
-
     assigns = [()]
-    for p, checks in zip(order, cons_by_latest):
+    for p, checks in zip(order, levels):
         candidates = (pinned[p],) if p in pinned else q.patch_labels[p].points
         assigns = _extend_assignments(assigns, candidates, checks)
-    out_at = [by_patch[p] for p in surface.end_nodes(surface.outgoing)]
     return {tuple(assign[i] for i in out_at) for assign in assigns}
 
 

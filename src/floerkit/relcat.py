@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EndpointMismatch, NotEmbedded, ResourceLimit
 from .repvar import FiniteRelation, diagonal_relation
@@ -242,6 +243,18 @@ class CyclicChain:
         best = min(range(k), key=lambda s: keys[s])
         return self.rotate(best)
 
+    @cached_property
+    def _generator_tuples(self):
+        """The coherent tuples, sorted: paths from each point of node 0 are
+        extended through the successor maps of relations 0 to k-2 and kept
+        when relation k-1 leads back to their first point."""
+        succ = [r.successors() for r in self.relations]
+        paths = ((x,) for x in self.relations[0].source.points)
+        for step in succ[:-1]:
+            paths = _extend_paths(paths, step)
+        closing = succ[-1]
+        return tuple(sorted(p for p in paths if p[0] in closing.get(p[-1], ())))
+
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -266,30 +279,17 @@ def _extend_paths(paths, succ):
 
 
 def generator_set(c: CyclicChain, budget=None) -> GeneratorSet:
-    """Enumerate matching tuples by propagating along the cycle.
-
-    Paths start at each point of node 0 and are extended node by node
-    through the successor maps of relations 0 to k-2; a path is kept when
-    relation k-1 leads from its last point back to its first.  The tuples
-    are sorted once at the end.
-    """
-    nodes = tuple(r.source for r in c.relations)  # node i: source of relation i
+    """All coherent tuples of c.  The budget is checked on every call; the
+    tuples are cached on the chain (``CyclicChain._generator_tuples``)."""
     if budget is not None:
         est = 1
-        for v in nodes:
-            est *= max(len(v), 1)
+        for r in c.relations:  # node i: source of relation i
+            est *= max(len(r.source), 1)
         if est > budget:
             raise ResourceLimit(
                 f"generator enumeration would scan {est} tuples", witness=est
             )
-    succ = [r.successors() for r in c.relations]
-    paths = ((x,) for x in nodes[0].points)
-    for step in succ[:-1]:
-        paths = _extend_paths(paths, step)
-    closing = succ[-1]
-    return GeneratorSet(
-        c, tuple(sorted(p for p in paths if p[0] in closing.get(p[-1], ())))
-    )
+    return GeneratorSet(c, c._generator_tuples)
 
 
 def rotation_bijection(gens: GeneratorSet, shift):

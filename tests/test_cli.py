@@ -121,6 +121,15 @@ def files(tmp_path_factory):
         return {**diagram, **fields}
 
     first_patch, first_seam = sorted(diagram["patch_labels"])[0], sorted(diagram["seams"])[0]
+    # seams s1 and s2 both pair seam-end "a"
+    diag_label = {"kind": "raw", **diag}
+    paired_twice = {
+        "ends": {"e0": ["a", "b", "c", "d"]},
+        "outgoing": "e0",
+        "seams": {"s1": ["a", "b"], "s2": ["a", "c"], "s3": ["c", "d"]},
+        "patch_labels": {"f0": surface(1).to_json()},
+        "seam_labels": {s: diag_label for s in ("s1", "s2", "s3")},
+    }
     end_order = diagram["ends"]["e0"]
     auto = dehn_twist_a(1).to_json()
     return {
@@ -208,6 +217,7 @@ def files(tmp_path_factory):
         "diagram_list_outgoing": write(
             "diagram_list_outgoing.json", diagram_with(outgoing=[0])
         ),
+        "diagram_paired_twice": write("diagram_paired_twice.json", paired_twice),
     }
 
 
@@ -785,6 +795,19 @@ def test_unlabeled_diagram_keeps_its_full_report(files):
         assert code == 1
         failed = [e["check"] for e in json.loads(out) if e["status"] == "fail"]
         assert len(failed) == 1 and "labeled" in failed[0]
+
+
+def test_seam_end_paired_twice_fails_quilt_validate(files):
+    code, out, err = run_captured(
+        ["quilt-validate", "--group", files["s3"], "--diagram", files["diagram_paired_twice"]]
+    )
+    assert code == 1 and not err
+    failed = [e for e in json.loads(out) if e["status"] == "fail"]
+    assert failed == [{
+        "check": "interval seams pair two attached seam-ends",
+        "status": "fail",
+        "detail": ["s2"],
+    }]
 
 
 FUZZ_VALUES = (None, 1, -1, "a", [], {}, [[0]])

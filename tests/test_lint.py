@@ -27,10 +27,13 @@ from floerkit.quilt import (
     cylinder_diagram,
     diagrams_isomorphic,
     evaluates_to_identity,
+    evaluation_map,
+    quilt_evaluate,
     quilt_glue,
     shrink_strip,
     snake_frame_diagram,
 )
+from floerkit.relcat import generator_set
 from floerkit.repvar import VarietyCache, relation_of_attach2, relation_of_cyl, repvariety
 from floerkit.words import dehn_twist_a
 
@@ -75,6 +78,18 @@ def zigzag():
     )
 
 
+def repeated_evaluation():
+    # the evaluation state cached on the diagram and its end chains must
+    # die with the diagram, so none of it may refer back to its owner
+    Y = relation_of_attach2(S3, canonical_circle(1), VarietyCache(S3))
+    zigzag = quilt_glue(cap_diagram(Y), snake_frame_diagram(Y), "aux")
+    end = ("R", "in")
+    for t in generator_set(zigzag.end_cyclic_chain(end)).tuples[:3]:
+        assert len(quilt_evaluate(zigzag, {end: t})) == 1
+        assert quilt_evaluate(zigzag, {end: t}) == quilt_evaluate(zigzag, {end: t})
+    assert evaluation_map(zigzag) == evaluation_map(zigzag)
+
+
 def glue_and_shrink():
     # a three-seam cylinder glued onto itself; every strip of the result
     # shrinks embeddedly
@@ -114,6 +129,7 @@ def relation_bicategory_views():
 # encoding functions refer to each other
 LIBRARY_CALLS = {
     "zigzag": zigzag,
+    "quilt_evaluate+evaluation_map": repeated_evaluation,
     "quilt_glue+shrink_strip": glue_and_shrink,
     "diagrams_isomorphic": isomorphism,
     "io.diagram_to_json": diagram_json_round_trip,

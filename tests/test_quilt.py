@@ -13,6 +13,7 @@ from floerkit.errors import (
     LabelMismatch,
     NotAStrip,
     NotEmbedded,
+    ResourceLimit,
 )
 from floerkit.groups import cyclic_group, quaternion_group, symmetric_group
 from floerkit.quilt import (
@@ -92,6 +93,25 @@ def test_seam_end_used_twice_reported():
     bad = [e for e in report if e["status"] == "fail"]
     assert bad and bad[0]["check"] == "seam-ends attached once"
     assert data is None
+
+
+def test_seam_end_paired_twice_reported():
+    # s1 and s2 both pair seam-end a; alpha would send b to a but a to c
+    surf = QuiltSurface(
+        {"out": ("a", "b", "c", "d")},
+        "out",
+        {"s1": ("a", "b"), "s2": ("a", "c"), "s3": ("c", "d")},
+    )
+    report, data = surf.analyze()
+    bad = [e for e in report if e["status"] == "fail"]
+    assert bad == [{
+        "check": "interval seams pair two attached seam-ends",
+        "status": "fail",
+        "detail": ["s2"],
+    }]
+    assert data is None
+    with pytest.raises(InvalidEnd):
+        surf.end_sequence("out")
 
 
 def test_torus_quilt_genus():
@@ -573,9 +593,9 @@ def test_shrink_strip_renames_bare_end_patch(rels):
             assert shrunk.surface.end_patch["bare"] == face_of[orbit[0]], (b, p)
 
 
-def test_evaluate_checks_every_input_before_pinning(rels):
-    # end "in" reads nodes (f0, f2, f0, f1): two seam loops that both touch
-    # f0; "in2" and "out" are bare ends on f0
+def _two_loop_diagram(rels):
+    """End "in" reads nodes (f0, f2, f0, f1): two seam loops that both
+    touch f0; "in2" and "out" are bare ends on f0."""
     L = rels["Y"]
     T = geometric_compose(L, L.transpose())
     M = T.source
@@ -585,7 +605,12 @@ def test_evaluate_checks_every_input_before_pinning(rels):
         {"A": ("a0", "a1"), "B": ("b0", "b1")},
         end_patch={"in2": "f0", "out": "f0"},
     )
-    q = QuiltDiagram(surf, {"f0": M, "f1": M, "f2": M}, {"A": T, "B": T})
+    return QuiltDiagram(surf, {"f0": M, "f1": M, "f2": M}, {"A": T, "B": T})
+
+
+def test_evaluate_checks_every_input_before_pinning(rels):
+    q = _two_loop_diagram(rels)
+    surf = q.surface
     assert q.is_valid()
     assert surf.end_nodes("in") == ("f0", "f2", "f0", "f1")
     gens = generator_set(q.end_cyclic_chain("in")).tuples
@@ -666,3 +691,96 @@ def test_end_index_matches_seam_scan(rels):
             assert s.end_nodes(e) == scan_end_nodes(s, e), (name, e)
         for sid in list(s.seams) + list(s.circle_seams):
             assert s.seam_sides(sid) == scan_seam_sides(s, sid), (name, sid)
+
+
+# -- evaluation state cached on the diagram -------------------------------------
+
+
+@pytest.fixture(scope="module")
+def q8_label():
+    """The genus-2 attaching relation over Q8, which a zigzag carries."""
+    Q8 = quaternion_group()
+    return relation_of_attach2(Q8, canonical_circle(2), VarietyCache(Q8))
+
+
+def test_each_end_is_enumerated_once_per_diagram(q8_label, monkeypatch):
+    zig = quilt_glue(cap_diagram(q8_label), snake_frame_diagram(q8_label), "aux")
+    calls = []
+    successors = FiniteRelation.successors
+
+    def counted(rel):
+        calls.append(rel)
+        return successors(rel)
+
+    monkeypatch.setattr(FiniteRelation, "successors", counted)
+    assert evaluates_to_identity(zig, ("R", "in"))
+    table = evaluation_map(zig)
+    gens = generator_set(zig.end_cyclic_chain(("R", "in"))).tuples
+    assert len(table) == len(gens) > 1
+    # one successor map per relation of the incoming end's chain, once
+    assert len(calls) == len(zig.end_cyclic_chain(("R", "in")))
+    assert evaluates_to_identity(zig, ("R", "in")) and evaluation_map(zig) == table
+    assert len(calls) == len(zig.end_cyclic_chain(("R", "in")))
+
+
+def test_budget_is_checked_after_the_cache_fills(q8_label):
+    chain = cap_diagram(q8_label).end_cyclic_chain("out")
+    gens = generator_set(chain)
+    with pytest.raises(ResourceLimit):
+        generator_set(chain, budget=1)
+    assert generator_set(chain, budget=10**6).tuples is gens.tuples
+
+
+def _raised(q, inputs):
+    with pytest.raises(InputNotGenerator) as info:
+        quilt_evaluate(q, inputs)
+    return str(info.value), info.value.witness
+
+
+def test_warm_diagram_rejects_inputs_as_a_cold_one(rels):
+    warm = _two_loop_diagram(rels)
+    gens = generator_set(warm.end_cyclic_chain("in")).tuples
+    clash = next(t for t in gens if t[0] != t[2])
+    agree = next(t for t in gens if t[0] == t[2])
+    assert quilt_evaluate(warm, {"in": agree, "in2": (agree[0],)}) == {(agree[0],)}
+    not_generator = (agree[0], agree[1], agree[0], (9, 9))
+    bad_inputs = [
+        {},
+        {"in": agree},
+        {"in": agree, "in2": (agree[0],), "other": ()},
+        {"in": clash, "in2": ()},
+        {"in": agree[:3], "in2": (agree[0],)},
+        {"in": not_generator, "in2": (agree[0],)},
+        {"in": agree, "in2": ((9, 9),)},
+    ]
+    for inputs in bad_inputs:
+        assert _raised(warm, inputs) == _raised(_two_loop_diagram(rels), inputs), inputs
+    # inconsistent pins still give nothing on the warm diagram
+    assert quilt_evaluate(warm, {"in": clash, "in2": (clash[0],)}) == set()
+    assert quilt_evaluate(warm, {"in": agree, "in2": (agree[0],)}) == {(agree[0],)}
+
+
+def test_warm_evaluation_matches_every_patch_assignment():
+    cache = VarietyCache(Z3)
+    Y = relation_of_attach2(Z3, canonical_circle(1), cache)
+    G = relation_of_cyl(Z3, dehn_twist_a(1), cache)
+    zig = quilt_glue(cap_diagram(Y), snake_frame_diagram(Y), "aux")
+    cylinder = cylinder_diagram([G, Y, Y.transpose(), G.transpose()])
+    for q in (zig, cylinder):
+        evaluation_map(q)  # warm the caches
+    fixtures = [
+        zig,
+        cylinder,
+        quilt_glue(cap_diagram(Y), zig, ("R", "in")),
+        quilt_glue(cylinder, cylinder, "in"),
+    ]
+    for p in cylinder.surface.data()["patches"]:
+        try:
+            fixtures.append(shrink_strip(cylinder, p))
+        except (NotAStrip, NotEmbedded):
+            pass
+    assert len(fixtures) > 4
+    for q in fixtures:
+        first = {k: v for k, v in evaluation_map(q).items() if v}
+        again = {k: v for k, v in evaluation_map(q).items() if v}
+        assert first and first == again == brute_evaluation_map(q)

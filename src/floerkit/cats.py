@@ -7,8 +7,10 @@ FinFunctor checks preservation on every morphism, a NatTransformation
 checks every naturality square.  The 2-cells of a FinBicategory under
 vertical composition are one FinCategory, so that check covers them.
 Light's test (``_first_nonassociative``) is the one associativity check of
-the package: group tables use it too.  Composition is written
-diagrammatically throughout: ``compose(f, g)`` means "f then g".
+the package: group tables use it too.  A FinBicategory decides
+2-isomorphism, its horizontal laws and its quotient from one cached index
+of 2-isomorphism classes.  Composition is written diagrammatically
+throughout: ``compose(f, g)`` means "f then g".
 """
 
 from __future__ import annotations
@@ -63,6 +65,19 @@ def _first_nonassociative(cells, identities, comp):
                         if comp[comp[f, g], h] != comp[f, comp[g, h]]
                     )
     return None
+
+
+def _domain_mismatch(name, table, expected):
+    """The CategoryMismatch for a table whose keys are not the expected
+    pairs, witnessed by the first three extra and missing pairs."""
+    keys = set(table)
+    return CategoryMismatch(
+        f"{name} domain mismatch",
+        witness={
+            "extra": sorted(keys - expected, key=repr)[:3],
+            "missing": sorted(expected - keys, key=repr)[:3],
+        },
+    )
 
 
 class FinCategory:
@@ -126,15 +141,7 @@ class FinCategory:
                 )
         composable = {(f, g) for f, (_, d) in mor.items() for g, _ in starting[d]}
         if set(comp) != composable:
-            extra = set(comp) - composable
-            missing = composable - set(comp)
-            raise CategoryMismatch(
-                "composition table domain mismatch",
-                witness={
-                    "extra": sorted(extra, key=repr)[:3],
-                    "missing": sorted(missing, key=repr)[:3],
-                },
-            )
+            raise _domain_mismatch("composition table", comp, composable)
         for (f, g), h in comp.items():
             if h not in mor:
                 raise CategoryMismatch(f"composite {h!r} not a morphism", witness=(f, g))
@@ -496,6 +503,11 @@ class FinBicategory:
     ``vertical`` over the 1-cells (``two``, ``vcomp`` and ``id2`` are its
     tables); its failures are raised again as "vertical <message>" with
     the same witness.
+
+    Not changed once built, it caches on first use its cells indexed by
+    where they start and one index of its 2-isomorphism classes
+    (``_iso_class``), which ``two_isomorphic``, the horizontal laws of
+    ``validate_bicategory`` and ``quotient_by_2isos`` all read.
     """
 
     def __init__(self, objects, one_morphisms, two_morphisms, vcomp, id2,
@@ -537,12 +549,12 @@ class FinBicategory:
                 raise CategoryMismatch(
                     f"weak unit of {x!r} missing or mistyped", witness=x
                 )
-        starting, _, two_from = self._by_source()
+        starting, _, two_from = self._by_source
         composable1 = {
             (f, g) for f, (_, d) in self.one.items() for g, _ in starting[d]
         }
         if set(self.hcomp1) != composable1:
-            raise CategoryMismatch("horizontal 1-composition domain mismatch")
+            raise _domain_mismatch("horizontal 1-composition", self.hcomp1, composable1)
         for (f, g), h in self.hcomp1.items():
             if self.one.get(h) != (self.one[f][0], self.one[g][1]):
                 raise CategoryMismatch(
@@ -559,9 +571,12 @@ class FinBicategory:
                             witness=(a, b),
                         )
                     composable2 += 1
-            if len(self.hcomp2) != composable2:
-                raise CategoryMismatch("horizontal 2-composition domain mismatch")
+            if len(self.hcomp2) != composable2:  # a set only for the witness
+                pairs = {(a, b) for a, (f, _) in self.two.items()
+                         for b in two_from[self.one[f][1]]}
+                raise _domain_mismatch("horizontal 2-composition", self.hcomp2, pairs)
 
+    @functools.cached_property
     def _by_source(self):
         """Cells indexed by where they start, each list in table order.
 
@@ -581,18 +596,33 @@ class FinBicategory:
             two_from[self.one[f][0]].append(a)
         return starting, leaving, two_from
 
+    @functools.cached_property
+    def _iso_class(self):
+        """The 2-isomorphism class index: 1-cell -> class number, the
+        classes numbered in repr order of their least members.
+
+        ``vertical`` is a category, so 2-isomorphism (an invertible 2-cell
+        f => g) is an equivalence relation, and a class is the targets of
+        the invertible 2-cells leaving its least member, its identity
+        2-cell among them.
+        """
+        _, leaving, _ = self._by_source
+        vcomp, id2 = self.vcomp, self.id2
+        iso_class, n = {}, 0
+        for f in sorted(self.one, key=repr):
+            if f not in iso_class:
+                iso_class.update(
+                    (g, n) for a, g in leaving[f] if any(
+                        k == f and vcomp[(a, b)] == id2[f] and vcomp[(b, a)] == id2[g]
+                        for b, k in leaving[g]
+                    )
+                )
+                n += 1
+        return iso_class
+
     def two_isomorphic(self, f, g):
-        """f ~ g via invertible vertical pairs, looked up by their ends."""
-        if self.one[f] != self.one[g]:
-            return False
-        if f == g:
-            return True
-        by_ends, vcomp = self.vertical.by_ends, self.vcomp
-        return any(
-            vcomp[(a, b)] == self.id2[f] and vcomp[(b, a)] == self.id2[g]
-            for a in by_ends.get((f, g), ())
-            for b in by_ends.get((g, f), ())
-        )
+        """Whether an invertible 2-cell f => g exists: one index lookup."""
+        return self._iso_class[f] == self._iso_class[g]
 
     def validate_bicategory(self):
         """Full axioms: interchange, identity compatibility, horizontal
@@ -601,9 +631,9 @@ class FinBicategory:
             raise CategoryMismatch(
                 "structure has no horizontal 2-composition", witness=self.name
             )
-        starting, leaving, two_from = self._by_source()
-        one, two = self.one, self.two
-        vcomp, hcomp1, hcomp2 = self.vcomp, self.hcomp1, self.hcomp2
+        starting, leaving, two_from = self._by_source
+        one, two, iso = self.one, self.two, self._iso_class
+        vcomp, id2, hcomp1, hcomp2 = self.vcomp, self.id2, self.hcomp1, self.hcomp2
         for a, (fa, ga) in two.items():
             for b in two_from[one[fa][1]]:
                 fb, gb = two[b]
@@ -613,8 +643,7 @@ class FinBicategory:
                     )
         for f, (_, d) in one.items():
             for g, _ in starting[d]:
-                lhs = hcomp2[(self.id2[f], self.id2[g])]
-                if lhs != self.id2[hcomp1[(f, g)]]:
+                if hcomp2[(id2[f], id2[g])] != id2[hcomp1[(f, g)]]:
                     raise CategoryMismatch(
                         "identity 2-cells not compatible with horizontal "
                         "composition",
@@ -627,9 +656,7 @@ class FinBicategory:
                 for c in two_from[one[fa][1]]:
                     ac = hcomp2[(a, c)]
                     for d, _ in leaving[two[c][1]]:
-                        lhs = hcomp2[(ab, vcomp[(c, d)])]
-                        rhs = vcomp[(ac, hcomp2[(b, d)])]
-                        if lhs != rhs:
+                        if hcomp2[(ab, vcomp[(c, d)])] != vcomp[(ac, hcomp2[(b, d)])]:
                             raise CategoryMismatch(
                                 "interchange law fails", witness=(a, b, c, d)
                             )
@@ -637,21 +664,19 @@ class FinBicategory:
             for g, dg in starting[df]:
                 fg = hcomp1[(f, g)]
                 for h, _ in starting[dg]:
-                    left = hcomp1[(fg, h)]
-                    right = hcomp1[(f, hcomp1[(g, h)])]
-                    if not self.two_isomorphic(left, right):
+                    if iso[hcomp1[(fg, h)]] != iso[hcomp1[(f, hcomp1[(g, h)])]]:
                         raise CategoryMismatch(
                             "horizontal associativity fails up to 2-isomorphism",
                             witness=(f, g, h),
                         )
         for x in self.objects:
             u = self.weak_unit[x]
-            for f, (s, d) in self.one.items():
-                if d == x and not self.two_isomorphic(self.hcomp1[(f, u)], f):
+            for f, (s, d) in one.items():
+                if d == x and iso[hcomp1[(f, u)]] != iso[f]:
                     raise CategoryMismatch(
                         "weak unit fails on the right", witness=(x, f)
                     )
-                if s == x and not self.two_isomorphic(self.hcomp1[(u, f)], f):
+                if s == x and iso[hcomp1[(u, f)]] != iso[f]:
                     raise CategoryMismatch(
                         "weak unit fails on the left", witness=(x, f)
                     )
@@ -681,62 +706,36 @@ class FinBicategory:
 
 
 def quotient_by_2isos(B: FinBicategory) -> FinCategory:
-    """Objects unchanged; morphisms are 2-isomorphism classes of
-    1-morphisms.  Raises IllFormedQuotient with a witness pair when
-    horizontal composition fails to descend to classes."""
-    reps = {}
-    classes = []
-    for f in sorted(B.one, key=repr):
-        placed = False
-        for ci, members in enumerate(classes):
-            if B.two_isomorphic(members[0], f):
-                members.append(f)
-                reps[f] = ci
-                placed = True
-                break
-        if not placed:
-            reps[f] = len(classes)
-            classes.append([f])
-
+    """Objects unchanged; morphisms are the classes of B's 2-isomorphism
+    class index, under its numbers.  Raises IllFormedQuotient when
+    horizontal composition fails to descend to classes, witnessed at the
+    least failing class pair by the repr-least two of its first composites
+    (in repr order of (f, g)) into each target class."""
+    iso = B._iso_class
+    rank = {f: i for i, f in enumerate(sorted(B.one, key=repr))}
+    members = {}
+    for f in rank:
+        members.setdefault(iso[f], []).append(f)
+    first = {}  # class pair -> target class -> its first ((f, g), h)
+    for f, g in sorted(B.hcomp1, key=lambda fg: (rank[fg[0]], rank[fg[1]])):
+        h = B.hcomp1[(f, g)]
+        first.setdefault((iso[f], iso[g]), {}).setdefault(iso[h], ((f, g), h))
     comp = {}
-    for ci, members in enumerate(classes):
-        for cj, members2 in enumerate(classes):
-            if B.one[members[0]][1] != B.one[members2[0]][0]:
-                continue
-            targets = set()
-            witness_pairs = []
-            for f in members:
-                for g in members2:
-                    if B.one[f][1] != B.one[g][0]:
-                        continue
-                    h = B.hcomp1[(f, g)]
-                    targets.add(reps[h])
-                    witness_pairs.append(((f, g), h))
-            if len(targets) > 1:
-                by_class = {}
-                for (f, g), h in witness_pairs:
-                    by_class.setdefault(reps[h], ((f, g), h))
-                picked = sorted(by_class.values(), key=repr)[:2]
-                raise IllFormedQuotient(
-                    "horizontal composition does not descend to "
-                    "2-isomorphism classes",
-                    witness={
-                        "class_pair": (members[0], members2[0]),
-                        "representative_composites": picked,
-                    },
-                )
-            comp[(ci, cj)] = targets.pop()
-
-    identity = {x: reps[B.weak_unit[x]] for x in B.objects}
-    morphisms = {
-        ci: (B.one[members[0]][0], B.one[members[0]][1])
-        for ci, members in enumerate(classes)
-    }
-    cat = FinCategory(
-        B.objects, morphisms, comp, identity, name=f"|{B.name}|"
-    )
-    cat.class_members = {ci: tuple(m) for ci, m in enumerate(classes)}
-    cat.class_of = dict(reps)
+    for (ci, cj), firsts in sorted(first.items()):
+        if len(firsts) > 1:
+            raise IllFormedQuotient(
+                "horizontal composition does not descend to 2-isomorphism classes",
+                witness={
+                    "class_pair": (members[ci][0], members[cj][0]),
+                    "representative_composites": sorted(firsts.values(), key=repr)[:2],
+                },
+            )
+        (comp[(ci, cj)],) = firsts
+    identity = {x: iso[B.weak_unit[x]] for x in B.objects}
+    morphisms = {ci: tuple(B.one[m[0]]) for ci, m in members.items()}
+    cat = FinCategory(B.objects, morphisms, comp, identity, name=f"|{B.name}|")
+    cat.class_members = {ci: tuple(m) for ci, m in members.items()}
+    cat.class_of = {f: iso[f] for f in rank}
     return cat
 
 

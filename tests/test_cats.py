@@ -9,6 +9,7 @@ from floerkit.catgen import (
     relation_bicategory,
 )
 from floerkit.cats import (
+    FinBicategory,
     FinCategory,
     FinFunctor,
     all_functors,
@@ -30,7 +31,7 @@ from floerkit.errors import (
     InvalidObject,
     MiddleMismatch,
 )
-from floerkit.groups import cyclic_group
+from floerkit.groups import cyclic_group, symmetric_group
 
 
 def two_chain():
@@ -365,8 +366,10 @@ def test_quotient_identity_2cells_recovers_category():
     assert len(q.morphisms) == len(C.morphisms)
 
 
-def test_quotient_identifies_isomorphic_pair():
-    # one nonidentity invertible 2-cell between parallel f, g
+def pair_bicategory(inverse=True):
+    """Two objects, parallel 1-cells f, g: x -> y with a 2-cell a: f => g,
+    its inverse b unless ``inverse`` is false, and units ux, uy; no
+    horizontal 2-composition."""
     objects = ("x", "y")
     one = {"f": ("x", "y"), "g": ("x", "y"), "ux": ("x", "x"), "uy": ("y", "y")}
     two = {
@@ -400,13 +403,17 @@ def test_quotient_identifies_isomorphic_pair():
                 hcomp1[(p, q)] = p
             else:
                 hcomp1[(p, q)] = p
-    from floerkit.cats import FinBicategory
-
-    B = FinBicategory(
+    if not inverse:
+        del two["b"]
+        vcomp = {pair: c for pair, c in vcomp.items() if "b" not in pair}
+    return FinBicategory(
         objects, one, two, vcomp, id2, hcomp1, None,
         {"x": "ux", "y": "uy"}, name="pair",
     )
-    q = quotient_by_2isos(B)
+
+
+def test_quotient_identifies_isomorphic_pair():
+    q = quotient_by_2isos(pair_bicategory())
     assert len(q.morphisms) == 3  # [f]=[g], [ux], [uy]
     assert q.class_of["f"] == q.class_of["g"]
 
@@ -436,8 +443,6 @@ def strict_tables():
 def strict_two_category(vcomp_edits=(), hcomp2_edits=()):
     """The bicategory of strict_tables(); the edits overwrite table
     entries, (pair, value) each."""
-    from floerkit.cats import FinBicategory
-
     tables = strict_tables()
     tables["vcomp"].update(vcomp_edits)
     tables["hcomp2"].update(hcomp2_edits)
@@ -446,8 +451,6 @@ def strict_two_category(vcomp_edits=(), hcomp2_edits=()):
 
 @pytest.mark.parametrize("table", ["vcomp", "hcomp1"])
 def test_bicategory_table_value_that_is_not_a_cell(table):
-    from floerkit.cats import FinBicategory
-
     B = bicategory_with_identity_2cells(two_chain())
     tables = {"vcomp": dict(B.vcomp), "hcomp1": dict(B.hcomp1)}
     pair = min(tables[table], key=repr)
@@ -526,8 +529,6 @@ VERTICAL_FAILURES = {
 
 @pytest.mark.parametrize("kind", VERTICAL_FAILURES)
 def test_vertical_failure_is_the_vertical_category_failure(kind):
-    from floerkit.cats import FinBicategory
-
     edit, message = VERTICAL_FAILURES[kind]
     tables = strict_tables()
     edit(tables)
@@ -658,7 +659,6 @@ def test_relation_bicategory_quotient_composes_geometrically():
 def test_relation_bicategory_composites_match_geometric_composition(group_name, sizes):
     from functools import reduce
 
-    from floerkit.groups import symmetric_group
     from floerkit.relcat import geometric_compose
 
     group = {"Z2": cyclic_group(2), "Z3": cyclic_group(3), "S3": symmetric_group(3)}[
@@ -747,6 +747,174 @@ def test_two_isomorphism_is_equivalence_random():
             assert B.two_isomorphic(g, f)
             if B.two_isomorphic(g, h):
                 assert B.two_isomorphic(f, h)
+
+
+def quotient_oracle(B):
+    """The quotient by 2-isomorphism from the definition: each 1-cell, in
+    repr order, joins the first class whose first member is 2-isomorphic
+    to it (by invertible_pairs), and each composable class pair is scanned
+    for the classes of all its composites.  Returns (objects, morphisms,
+    comp, identity, class_members, class_of), the tables as item lists, or
+    raises IllFormedQuotient at the first class pair that does not
+    descend."""
+    iso = invertible_pairs(B)
+    class_of, classes = {}, []
+    for f in sorted(B.one, key=repr):
+        ci = next((i for i, m in enumerate(classes) if (m[0], f) in iso), len(classes))
+        if ci == len(classes):
+            classes.append([])
+        classes[ci].append(f)
+        class_of[f] = ci
+    comp = {}
+    for (ci, m1), (cj, m2) in itertools.product(enumerate(classes), repeat=2):
+        if B.one[m1[0]][1] != B.one[m2[0]][0]:
+            continue
+        first = {}  # target class -> the first composite landing in it
+        for f, g in itertools.product(m1, m2):
+            h = B.hcomp1[(f, g)]
+            first.setdefault(class_of[h], ((f, g), h))
+        if len(first) > 1:
+            raise IllFormedQuotient(
+                "horizontal composition does not descend to 2-isomorphism classes",
+                witness={
+                    "class_pair": (m1[0], m2[0]),
+                    "representative_composites": sorted(first.values(), key=repr)[:2],
+                },
+            )
+        (comp[(ci, cj)],) = first
+    return (
+        B.objects,
+        [(ci, B.one[m[0]]) for ci, m in enumerate(classes)],
+        list(comp.items()),
+        [(x, class_of[B.weak_unit[x]]) for x in B.objects],
+        [(ci, tuple(m)) for ci, m in enumerate(classes)],
+        list(class_of.items()),
+    )
+
+
+QUOTIENT_CASES = {
+    "Rel(Z2)": lambda: relation_bicategory(cyclic_group(2)),
+    "Rel(Z3)": lambda: relation_bicategory(cyclic_group(3)),
+    "Rel(S3)": lambda: relation_bicategory(symmetric_group(3)),
+    "maps2+conjugacy": lambda: conjugacy_nonexample(2),
+    "maps3+conjugacy": lambda: conjugacy_nonexample(3),
+    "strict": strict_two_category,
+    "pair": pair_bicategory,
+    "pair-without-inverse": lambda: pair_bicategory(inverse=False),
+    **{
+        f"random{s}+id2": lambda s=s: bicategory_with_identity_2cells(random_category(s))
+        for s in range(50)
+    },
+}
+
+
+@pytest.mark.parametrize("name", QUOTIENT_CASES)
+def test_quotient_matches_the_oracle(name):
+    B = QUOTIENT_CASES[name]()
+    try:
+        expected = quotient_oracle(B)
+    except IllFormedQuotient as oracle_err:
+        with pytest.raises(IllFormedQuotient) as err:
+            quotient_by_2isos(B)
+        assert str(err.value) == str(oracle_err)
+        assert err.value.witness == oracle_err.witness
+        return
+    q = quotient_by_2isos(B)
+    assert (
+        q.objects,
+        list(q.morphisms.items()),
+        list(q.comp.items()),
+        list(q.identity.items()),
+        list(q.class_members.items()),
+        list(q.class_of.items()),
+    ) == expected
+
+
+def magma_bicategory(table, unit):
+    """One object x, 1-cells 0..n-1 composing as table[f][g] with weak unit
+    ``unit``, and only identity 2-cells: the 2-cell f is the identity of
+    the 1-cell f, so hcomp2 is table too."""
+    cells = range(len(table))
+    hcomp = {(f, g): table[f][g] for f in cells for g in cells}
+    return FinBicategory(
+        ("x",), {f: ("x", "x") for f in cells}, {f: (f, f) for f in cells},
+        {(f, f): f for f in cells}, {f: f for f in cells}, hcomp, hcomp, {"x": unit},
+    )
+
+
+def first_horizontal_law_failure(B):
+    """(message, witness) of the first failure of horizontal associativity
+    or of a weak unit up to 2-isomorphism (by invertible_pairs), scanning
+    the definitions in validate_bicategory's loop order, or None.  B has
+    one object, so every pair of 1-cells composes."""
+    iso, h = invertible_pairs(B), B.hcomp1
+    for f, g, k in itertools.product(B.one, repeat=3):
+        if (h[(h[(f, g)], k)], h[(f, h[(g, k)])]) not in iso:
+            return "horizontal associativity fails up to 2-isomorphism", (f, g, k)
+    for x in B.objects:
+        u = B.weak_unit[x]
+        for f in B.one:
+            if (h[(f, u)], f) not in iso:
+                return "weak unit fails on the right", (x, f)
+            if (h[(u, f)], f) not in iso:
+                return "weak unit fails on the left", (x, f)
+    return None
+
+
+def test_horizontal_law_failures_match_brute_force():
+    import random
+
+    rng = random.Random(0)
+    # every table on two 1-cells with either unit, and random ones on three
+    cases = [
+        ([list(values[:2]), list(values[2:])], unit)
+        for values in itertools.product(range(2), repeat=4)
+        for unit in range(2)
+    ] + [
+        ([[rng.randrange(3) for _ in range(3)] for _ in range(3)], rng.randrange(3))
+        for _ in range(100)
+    ]
+    seen = set()
+    for table, unit in cases:
+        B = magma_bicategory(table, unit)
+        expected = first_horizontal_law_failure(B)
+        if expected is None:
+            B.validate_bicategory()
+        else:
+            with pytest.raises(CategoryMismatch) as err:
+                B.validate_bicategory()
+            assert (str(err.value), err.value.witness) == expected, (table, unit)
+        seen.add(expected and expected[0])
+    assert seen == {
+        None,
+        "horizontal associativity fails up to 2-isomorphism",
+        "weak unit fails on the right",
+        "weak unit fails on the left",
+    }
+
+
+@pytest.mark.parametrize(
+    "table, pair, value, message, witness",
+    [
+        ("hcomp1", ("f1", "f0"), None, "horizontal 1-composition",
+         {"extra": [], "missing": [("f1", "f0")]}),
+        ("hcomp1", ("f0", "f9"), "f0", "horizontal 1-composition",
+         {"extra": [("f0", "f9")], "missing": []}),
+        ("hcomp2", ("a00", "zz"), "a00", "horizontal 2-composition",
+         {"extra": [("a00", "zz")], "missing": []}),
+    ],
+    ids=["hcomp1-missing", "hcomp1-extra", "hcomp2-extra"],
+)
+def test_horizontal_domain_mismatch_witness(table, pair, value, message, witness):
+    tables = strict_tables()
+    if value is None:
+        del tables[table][pair]
+    else:
+        tables[table][pair] = value
+    with pytest.raises(CategoryMismatch) as err:
+        FinBicategory(**tables)
+    assert str(err.value) == f"{message} domain mismatch"
+    assert err.value.witness == witness
 
 
 @pytest.mark.parametrize("seed", range(12))

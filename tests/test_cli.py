@@ -767,6 +767,47 @@ def test_bad_hcomp2_table_fails_cat_validate(files):
         assert report["valid"] is False and "horizontal 2-composit" in report["violation"]
 
 
+def test_extra_hcomp2_pair_report(files):
+    # the one pair that is not composable is the witness
+    with open(files["bic_h2_extra"]) as fh:
+        arrow = json.load(fh)["horizontal_composition_2"][-1][0]
+    code, out, err = run_captured(["cat-validate", "--bicategory", files["bic_h2_extra"]])
+    assert (code, err) == (1, "")
+    assert out == fio.dumps({
+        "valid": False,
+        "violation": "horizontal 2-composition domain mismatch",
+        "witness": repr({"extra": [(arrow, arrow)], "missing": []}),
+    })
+
+
+def test_horizontal_associativity_failure_report(tmp_path):
+    # one object, 1-cells 0 and 1 composing as f.g = 1 - f, and identity
+    # 2-cells only: (0.0).0 = 0 but 0.(0.0) = 1
+    cells = ("0", "1")
+    product = {(f, g): cells[1 - int(f)] for f in cells for g in cells}
+    bic = {
+        "objects": ["x"],
+        "one_morphisms": {f: ["x", "x"] for f in cells},
+        "two_morphisms": {f"id{f}": [f, f] for f in cells},
+        "vertical_composition": [[f"id{f}"] * 3 for f in cells],
+        "identity_2cells": {f: f"id{f}" for f in cells},
+        "horizontal_composition_1": [[f, g, h] for (f, g), h in product.items()],
+        "horizontal_composition_2": [
+            [f"id{f}", f"id{g}", f"id{h}"] for (f, g), h in product.items()
+        ],
+        "weak_units": {"x": "0"},
+    }
+    path = tmp_path / "bic.json"
+    path.write_text(json.dumps(bic))
+    code, out, err = run_captured(["cat-validate", "--bicategory", str(path)])
+    assert (code, err) == (1, "")
+    assert out == fio.dumps({
+        "valid": False,
+        "violation": "horizontal associativity fails up to 2-isomorphism",
+        "witness": repr(("0", "0", "0")),
+    })
+
+
 def test_vertical_failure_report(tmp_path):
     # the identity 2-cell of one 1-cell given as the composite of two
     # identity 2-cells of another: the 2-cells are not a category

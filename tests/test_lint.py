@@ -119,7 +119,11 @@ def diagram_json_round_trip():
 
 
 def relation_bicategory_views():
+    # the cells by source and the 2-isomorphism class index cached on the
+    # bicategory must die with it
     B = relation_bicategory(cyclic_group(2))
+    B.validate_bicategory()
+    assert sum(B.two_isomorphic(f, g) for f in B.one for g in B.one) >= len(B.one)
     yoneda(B, B.objects[0])
     quotient_by_2isos(B)
 

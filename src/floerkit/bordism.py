@@ -10,6 +10,16 @@ configurations obtained by transporting the canonical pairs (a1, b1) and
 construction ever produces while keeping every rewrite computable from
 the transport alone.
 
+Each move kind is defined once, by its contraction rule: what an adjacent
+pair of steps becomes.  CylMerge merges two cylinders; CylAbsorbPre
+absorbs a cylinder into the 2-handle or Cap3 after it, CylAbsorbPost into
+the 1-handle or Cap0 before it; CritCancel cancels a 1-handle against a
+2-handle along a transported (a1, b1) pair; CritSwitch takes a 1-handle
+and 2-handle along a transported (a1, a2) pair, or two 2-handles below a
+canonical circle, to the switched order.  The expanding moves, CylSplit,
+CritCreate, absorbs that start from one step and the switch from a
+(2-handle, 1-handle) pair, are checked as these rules read backwards.
+
 No cap-cancellation rule (Cap0, Cap3) <-> empty chain is provided: the
 move list deliberately contains only cylinder and critical point moves,
 and genus-0 objects admit no attaching circles.
@@ -309,112 +319,64 @@ def is_disjoint_canonical_pair(c1: AttachingCircle, c2: AttachingCircle) -> bool
     )
 
 
-def _require(cond, message, witness=None):
-    if not cond:
-        raise MoveNotApplicable(message, witness=witness)
+# The kinds with a contraction rule, and the expanding kinds that are
+# checked by another kind's rule read backwards.
+_CONTRACTIONS = ("CylMerge", "CylAbsorbPre", "CylAbsorbPost", "CritCancel", "CritSwitch")
+_EXPANSIONS = {"CylSplit": "CylMerge", "CritCreate": "CritCancel"}
+
+
+def _contraction(kind, a, b):
+    """The steps that the adjacent pair (a, b) becomes under the
+    contracting move ``kind``, or None when the move does not apply."""
+    key = (kind, a.kind, b.kind)
+    if key == ("CylMerge", "cyl", "cyl"):
+        return (cyl(a.phi.then(b.phi)),)
+    if key == ("CylAbsorbPre", "cyl", "attach2"):
+        return (attach2(b.circle.precompose(a.phi)),)
+    if key == ("CylAbsorbPre", "cyl", "cap3"):
+        return (CAP3,)
+    if key == ("CylAbsorbPost", "attach1", "cyl"):
+        return (attach1(a.circle.postcompose(b.phi)),)
+    if key == ("CylAbsorbPost", "cap0", "cyl"):
+        return (CAP0,)
+    if key == ("CritCancel", "attach1", "attach2") and is_crossing_pair(a.circle, b.circle):
+        return (cyl(identity_automorphism(a.circle.genus - 1)),)
+    if key == ("CritSwitch", "attach1", "attach2") and is_disjoint_canonical_pair(
+        a.circle, b.circle
+    ):
+        below = canonical_circle(a.circle.genus - 1)
+        return (attach2(below), attach1(below))
+    if (
+        key == ("CritSwitch", "attach2", "attach2")
+        and a.circle.genus >= 2
+        and b.circle.psi.is_identity()
+    ):
+        g = a.circle.genus
+        swapped = AttachingCircle(g, handle_swap(g, 1, 2).then(a.circle.psi))
+        return (attach2(swapped), attach2(canonical_circle(g - 1)))
+    return None
 
 
 def _check_move(move: CerfMoveInstance):
-    """Validate the kind-specific side conditions relating old and new steps."""
+    """A contraction must take its old pair to its new steps; an
+    expansion is checked as the contraction of its new pair back to its
+    old steps."""
     kind, old, new = move.kind, move.old_steps, move.new_steps
-    if kind == "CylMerge":
-        _require(len(old) == 2 and len(new) == 1, "merge consumes two cylinders")
-        a, b = old
-        _require(a.kind == b.kind == "cyl", "merge needs two cylinders")
-        merged = a.phi.then(b.phi)
-        _require(
-            new[0].kind == "cyl" and new[0].phi.same_mapping_class(merged),
-            "merged cylinder must carry the composed mapping class",
-            witness=(a.phi.name, b.phi.name),
+    expanding = (
+        kind in _EXPANSIONS
+        or (kind in ("CylAbsorbPre", "CylAbsorbPost") and len(old) != 2)
+        or (kind == "CritSwitch" and tuple(s.kind for s in old) == ("attach2", "attach1"))
+    )
+    pair, image = (new, old) if expanding else (old, new)
+    rule = _EXPANSIONS.get(kind, kind)
+    result = None
+    if len(pair) == 2 and len(image) == (2 if rule == "CritSwitch" else 1):
+        result = _contraction(rule, *pair)
+    if result is None or not all(x.same_step(y) for x, y in zip(image, result)):
+        raise MoveNotApplicable(
+            f"no {kind} move rewrites the steps at {move.pos} as stated",
+            witness=None if result is None else repr(list(result)),
         )
-    elif kind == "CylSplit":
-        _check_move(CerfMoveInstance("CylMerge", move.pos, new, old))
-    elif kind == "CylAbsorbPre":
-        # (Cyl(phi), Attach2(c)) <-> (Attach2(c o phi^-1))  |  (Cyl, Cap3) <-> (Cap3)
-        one, two = (old, new) if len(old) == 2 else (new, old)
-        _require(len(one) == 2 and len(two) == 1, "absorb relates a pair and a step")
-        pre, att = one
-        _require(pre.kind == "cyl", "first step of the pair must be a cylinder")
-        if att.kind == "cap3":
-            _require(two[0].kind == "cap3", "cylinder absorbs into the cap")
-        else:
-            _require(att.kind == "attach2", "pre-cylinders absorb into 2-handles")
-            pulled = att.circle.precompose(pre.phi)
-            _require(
-                two[0].kind == "attach2" and two[0].circle.same_circle(pulled),
-                "absorbed circle must be the pulled-back circle",
-                witness=(pre.phi.name, att.circle.psi.name),
-            )
-    elif kind == "CylAbsorbPost":
-        # (Attach1(c), Cyl(phi)) <-> (Attach1(c o phi))  |  (Cap0, Cyl) <-> (Cap0)
-        one, two = (old, new) if len(old) == 2 else (new, old)
-        _require(len(one) == 2 and len(two) == 1, "absorb relates a pair and a step")
-        att, post = one
-        _require(post.kind == "cyl", "second step of the pair must be a cylinder")
-        if att.kind == "cap0":
-            _require(two[0].kind == "cap0", "cylinder absorbs into the cap")
-        else:
-            _require(att.kind == "attach1", "post-cylinders absorb into 1-handles")
-            pushed = att.circle.postcompose(post.phi)
-            _require(
-                two[0].kind == "attach1" and two[0].circle.same_circle(pushed),
-                "absorbed circle must be the pushed-forward circle",
-            )
-    elif kind == "CritCancel":
-        _require(len(old) == 2 and len(new) == 1, "cancel replaces a pair by a cylinder")
-        a, b = old
-        _require(
-            a.kind == "attach1" and b.kind == "attach2",
-            "cancellation needs a 1-handle followed by a 2-handle",
-        )
-        _require(
-            is_crossing_pair(a.circle, b.circle),
-            "circles are not a transported single-intersection pair",
-            witness=(a.circle.psi.name, b.circle.psi.name),
-        )
-        _require(
-            new[0].kind == "cyl" and new[0].phi.is_identity(),
-            "cancelling a transported (a1, b1) pair yields the identity cylinder",
-        )
-    elif kind == "CritCreate":
-        _check_move(CerfMoveInstance("CritCancel", move.pos, new, old))
-    elif kind == "CritSwitch":
-        _require(len(old) == 2 and len(new) == 2, "switch exchanges two attachments")
-        kinds = tuple(s.kind for s in old)
-        if kinds == ("attach2", "attach2"):
-            _require(
-                tuple(s.kind for s in new) == ("attach2", "attach2"),
-                "switch preserves the attachment kinds",
-            )
-            _require(
-                old[1].circle.psi.is_identity() and new[1].circle.psi.is_identity(),
-                "second circle must be canonical below a transported pair",
-            )
-            tau = handle_swap(old[0].circle.genus, 1, 2)
-            _require(
-                new[0].circle.same_circle(
-                    AttachingCircle(old[0].circle.genus, tau.then(old[0].circle.psi))
-                ),
-                "switched circle must be the swap transport of the original",
-            )
-        elif kinds == ("attach1", "attach2"):
-            _require(
-                is_disjoint_canonical_pair(old[0].circle, old[1].circle),
-                "circles are not a transported disjoint pair",
-            )
-            _require(
-                tuple(s.kind for s in new) == ("attach2", "attach1")
-                and new[0].circle.psi.is_identity()
-                and new[1].circle.psi.is_identity()
-                and new[0].circle.genus == old[0].circle.genus - 1,
-                "switching a 1-2 pair yields the canonical 2-1 pair one genus down",
-            )
-        elif kinds == ("attach2", "attach1"):
-            _check_move(CerfMoveInstance("CritSwitch", move.pos, new, old))
-        else:
-            _require(False, f"no switch applies to steps {kinds}")
-    else:
-        _require(False, f"unknown move kind {kind!r}")
 
 
 def cerf_apply(c: CobordismChain, move: CerfMoveInstance) -> CobordismChain:
@@ -468,16 +430,16 @@ def cerf_neighbors(c: CobordismChain, registry: CerfRegistry = None):
     steps = c.steps
     for i, s in enumerate(steps):
         nxt = steps[i + 1] if i + 1 < len(steps) else None
+        if nxt is not None:
+            for kind in _CONTRACTIONS:
+                new = _contraction(kind, s, nxt)
+                if new is not None:
+                    emit(kind, i, (s, nxt), new)
 
-        if s.kind == "cyl" and nxt is not None and nxt.kind == "cyl":
-            emit("CylMerge", i, (s, nxt), (cyl(s.phi.then(nxt.phi)),))
+        # the expanding directions
         if s.kind == "cyl":
             for phi in registry.autos(s.phi.genus):
                 emit("CylSplit", i, (s,), (cyl(phi), cyl(phi.inverse().then(s.phi))))
-        if s.kind == "cyl" and nxt is not None and nxt.kind == "attach2":
-            emit("CylAbsorbPre", i, (s, nxt), (attach2(nxt.circle.precompose(s.phi)),))
-        if s.kind == "cyl" and nxt is not None and nxt.kind == "cap3":
-            emit("CylAbsorbPre", i, (s, nxt), (CAP3,))
         if s.kind == "attach2":
             for phi in registry.autos(s.circle.genus):
                 emit(
@@ -486,10 +448,6 @@ def cerf_neighbors(c: CobordismChain, registry: CerfRegistry = None):
                     (s,),
                     (cyl(phi), attach2(s.circle.precompose(phi.inverse()))),
                 )
-        if s.kind == "attach1" and nxt is not None and nxt.kind == "cyl":
-            emit("CylAbsorbPost", i, (s, nxt), (attach1(s.circle.postcompose(nxt.phi)),))
-        if s.kind == "cap0" and nxt is not None and nxt.kind == "cyl":
-            emit("CylAbsorbPost", i, (s, nxt), (CAP0,))
         if s.kind == "attach1":
             for phi in registry.autos(s.circle.genus):
                 emit(
@@ -502,19 +460,6 @@ def cerf_neighbors(c: CobordismChain, registry: CerfRegistry = None):
             emit("CylAbsorbPre", i, (s,), (cyl(identity_automorphism(0)), CAP3))
         if s.kind == "cap0":
             emit("CylAbsorbPost", i, (s,), (CAP0, cyl(identity_automorphism(0))))
-
-        if s.kind == "attach1" and nxt is not None and nxt.kind == "attach2":
-            if is_crossing_pair(s.circle, nxt.circle):
-                g = s.circle.genus
-                emit("CritCancel", i, (s, nxt), (cyl(identity_automorphism(g - 1)),))
-            if is_disjoint_canonical_pair(s.circle, nxt.circle):
-                g = s.circle.genus
-                emit(
-                    "CritSwitch",
-                    i,
-                    (s, nxt),
-                    (attach2(canonical_circle(g - 1)), attach1(canonical_circle(g - 1))),
-                )
         if s.kind == "cyl" and s.phi.is_identity():
             g = s.phi.genus + 1
             rot = crossing_transport(g, 1)
@@ -522,24 +467,6 @@ def cerf_neighbors(c: CobordismChain, registry: CerfRegistry = None):
                 pair = AttachingCircle(g, psi), AttachingCircle(g, rot.then(psi))
                 emit("CritCreate", i, (s,), (attach1(pair[0]), attach2(pair[1])))
                 emit("CritCreate", i, (s,), (attach1(pair[1]), attach2(pair[0])))
-        if (
-            s.kind == "attach2"
-            and nxt is not None
-            and nxt.kind == "attach2"
-            and nxt.circle.psi.is_identity()
-            and s.circle.genus >= 2
-        ):
-            g = s.circle.genus
-            tau = handle_swap(g, 1, 2)
-            emit(
-                "CritSwitch",
-                i,
-                (s, nxt),
-                (
-                    attach2(AttachingCircle(g, tau.then(s.circle.psi))),
-                    attach2(canonical_circle(g - 1)),
-                ),
-            )
         if (
             s.kind == "attach2"
             and nxt is not None

@@ -830,9 +830,7 @@ def conjugacy_nonexample(n=3):
             two[(f, p)] = (f, g)
     vcomp = {}
     for (f, p), (_, g) in two.items():
-        for (g2, q), (_, h) in two.items():
-            if g2 != g:
-                continue
+        for q in bijections:
             # conjugating by p then by q is conjugating by q o p
             vcomp[((f, p), (g, q))] = (f, compose_maps(p, q))
     id2 = {f: (f, tuple(points)) for f in maps}

@@ -585,6 +585,20 @@ def test_conjugacy_nonexample_raises_with_witness():
     assert h1 != h2
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_conjugacy_nonexample_composes_every_composable_pair(n):
+    # the vertical composites are exactly the entries of a scan over all
+    # pairs of 2-cells, in the scan's order
+    B = conjugacy_nonexample(n)
+    expected = [
+        ((a, b), (B.two[a][0], tuple(b[1][a[1][i]] for i in range(n))))
+        for a, b in itertools.product(B.two, repeat=2)
+        if B.two[a][1] == B.two[b][0]
+    ]
+    assert list(B.vcomp.items()) == expected
+    assert len(expected) == {2: 16, 3: 972}[n]
+
+
 def test_yoneda_trivial_bicategory():
     C = discrete_category(("x",))
     B = bicategory_with_identity_2cells(C)
@@ -719,12 +733,17 @@ def invertible_pairs(B):
         lambda: relation_bicategory(cyclic_group(2)),
         lambda: conjugacy_nonexample(3),
         strict_two_category,
+        pair_bicategory,
+        lambda: pair_bicategory(inverse=False),
         *(
             lambda seed=seed: bicategory_with_identity_2cells(random_category(seed))
             for seed in range(4)
         ),
     ],
-    ids=["Rel(Z2)", "maps3+conjugacy", "strict", *(f"random{s}+id2" for s in range(4))],
+    ids=[
+        "Rel(Z2)", "maps3+conjugacy", "strict", "pair", "pair-without-inverse",
+        *(f"random{s}+id2" for s in range(4)),
+    ],
 )
 def test_two_isomorphic_matches_the_definition(make):
     B = make()

@@ -14,7 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from floerkit.bordism import canonical_circle
+from floerkit.bordism import (
+    CAP0,
+    CAP3,
+    attach1,
+    attach2,
+    b_circle,
+    canonical_circle,
+    cerf_connected,
+    cerf_neighbors,
+    chain,
+)
 from floerkit.bordobjects import surface
 from floerkit.catgen import relation_bicategory
 from floerkit.cats import quotient_by_2isos, yoneda
@@ -128,6 +138,15 @@ def relation_bicategory_views():
     quotient_by_2isos(B)
 
 
+def cerf_moves():
+    # the mixed-switch fixture, and the two genus-1 Heegaard chains of S^3
+    mixed = chain([attach2(canonical_circle(2)), attach1(canonical_circle(2))])
+    assert cerf_neighbors(mixed)
+    c1 = chain([CAP0, attach1(canonical_circle(1)), attach2(b_circle(1)), CAP3])
+    c2 = chain([CAP0, attach1(b_circle(1)), attach2(canonical_circle(1)), CAP3])
+    assert cerf_connected(c1, c2, depth=4) is not None
+
+
 # cli.dispatch is left out: io.dumps leaves one reference cycle per call,
 # because json.dumps(indent=1) runs the pure-Python encoder, whose nested
 # encoding functions refer to each other
@@ -142,6 +161,7 @@ LIBRARY_CALLS = {
         PartialFunctorSpec(S3), genera=(1,)
     ),
     "repvariety": lambda: repvariety(S3, surface(2)),
+    "cerf_neighbors+cerf_connected": cerf_moves,
 }
 
 

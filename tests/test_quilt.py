@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -124,6 +125,88 @@ def test_torus_quilt_genus():
     data = surf.data()
     assert data["genus"] == 1
     assert len(data["faces"]) == 1
+
+
+def random_rotation_system(rng):
+    """(ends, seams) of a connected multigraph on 1-5 ends, loops and
+    multiple seams allowed: a random spanning tree plus 0-4 more seams,
+    each seam a pair of fresh seam-ends, each end's seam-ends in a random
+    cyclic order."""
+    ends = [f"e{i}" for i in range(rng.randint(1, 5))]
+    edges = [(ends[rng.randrange(i)], ends[i]) for i in range(1, len(ends))]
+    edges += [(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randint(len(ends) == 1, 4))]
+    orders = {e: [] for e in ends}
+    seams = {}
+    for k, (u, v) in enumerate(edges):
+        seams[f"s{k}"] = (f"h{2 * k}", f"h{2 * k + 1}")
+        orders[u].append(f"h{2 * k}")
+        orders[v].append(f"h{2 * k + 1}")
+    for order in orders.values():
+        rng.shuffle(order)
+    return {e: tuple(order) for e, order in orders.items()}, seams
+
+
+def least_rotation(cycle):
+    i = cycle.index(min(cycle))
+    return tuple(cycle[i:]) + tuple(cycle[:i])
+
+
+def rotation_system_faces(ends, seams):
+    """The cycles of sigma o alpha, each rotated to start at its least
+    seam-end, and the genus from V - E + F."""
+    sigma = {h: order[(i + 1) % len(order)] for order in ends.values() for i, h in enumerate(order)}
+    alpha = {a: b for a, b in seams.values()} | {b: a for a, b in seams.values()}
+    faces, seen = set(), set()
+    for h in sigma:
+        cycle = []
+        while h not in seen:
+            seen.add(h)
+            cycle.append(h)
+            h = sigma[alpha[h]]
+        if cycle:
+            faces.add(least_rotation(cycle))
+    euler = len(ends) - len(seams) + len(faces)
+    return faces, (2 - euler) // 2
+
+
+def corruptions(rng, ends, seams):
+    """(the check that must fail, ends, seams) for each way of breaking a
+    valid rotation system."""
+    some_half = rng.choice(ends[rng.choice(sorted(ends))])
+    other_end = rng.choice(sorted(ends))
+
+    def with_half(extra):
+        return {**ends, other_end: ends[other_end] + extra}
+
+    return [
+        ("seam-ends attached once", with_half((some_half,)), seams),
+        ("interval seams pair two attached seam-ends",
+         with_half(("x",)), {**seams, "twice": (some_half, "x")}),
+        ("every seam-end belongs to a seam", with_half(("x",)), seams),
+        ("interval seams pair two attached seam-ends", with_half(("x",)), {**seams, "loop": ("x", "x")}),
+        ("interval seams pair two attached seam-ends", ends, {**seams, "ghost": ("x", "y")}),
+        ("seamed ends form one connected component",
+         {**ends, "apart": ("x", "y")}, {**seams, "apart": ("x", "y")}),
+    ]
+
+
+def test_rotation_systems_match_the_oracle():
+    rng = random.Random(7)
+    genera = set()
+    for _ in range(200):
+        ends, seams = random_rotation_system(rng)
+        outgoing = rng.choice(sorted(ends))
+        report, data = QuiltSurface(ends, outgoing, seams).analyze()
+        assert all(entry["status"] == "pass" for entry in report), (ends, seams, report)
+        faces, genus = rotation_system_faces(ends, seams)
+        traced = {least_rotation(orbit) for orbit in data["faces"].values()}
+        assert (traced, data["genus"]) == (faces, genus), (ends, seams)
+        genera.add(genus)
+        for name, bad_ends, bad_seams in corruptions(rng, ends, seams):
+            report, data = QuiltSurface(bad_ends, outgoing, bad_seams).analyze()
+            failed = {entry["check"] for entry in report if entry["status"] == "fail"}
+            assert name in failed and data is None, (name, bad_ends, bad_seams, report)
+    assert genera >= {0, 1, 2}
 
 
 def test_cylinder_diagram_structure(rels):

@@ -255,6 +255,11 @@ class CyclicChain:
         closing = succ[-1]
         return tuple(sorted(p for p in paths if p[0] in closing.get(p[-1], ())))
 
+    @cached_property
+    def _generator_members(self):
+        """The coherent tuples as a frozenset, for membership tests."""
+        return frozenset(self._generator_tuples)
+
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -268,7 +273,10 @@ class GeneratorSet:
         return len(self.tuples)
 
     def __contains__(self, tup):
-        return tup in self.tuples
+        try:
+            return tup in self.chain._generator_members
+        except TypeError:  # unhashable, so not a tuple of points
+            return False
 
 
 def _extend_paths(paths, succ):
@@ -280,7 +288,8 @@ def _extend_paths(paths, succ):
 
 def generator_set(c: CyclicChain, budget=None) -> GeneratorSet:
     """All coherent tuples of c.  The budget is checked on every call; the
-    tuples are cached on the chain (``CyclicChain._generator_tuples``)."""
+    tuples and their set are cached on the chain
+    (``CyclicChain._generator_tuples`` and ``_generator_members``)."""
     if budget is not None:
         est = 1
         for r in c.relations:  # node i: source of relation i

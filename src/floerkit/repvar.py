@@ -182,6 +182,12 @@ class RepVariety:
 
 _POOL_STATE = {}
 
+# Fewest tuples (first handles kept times |G|^(2g-2)) worth forking workers
+# for; smaller varieties run in the parent.  Best of 3, one worker against
+# two: Q8 genus 3 (114,688 tuples) 0.26 against 0.32 s, D6 genus 3 (912,384)
+# 1.45 against 1.05 s (BENCH_19.json).
+_FORK_MIN_TUPLES = 500_000
+
 
 def _variety_chunk(first):
     group, genus = _POOL_STATE["job"]
@@ -201,7 +207,9 @@ def repvariety(group, obj, budget=None, workers=1):
     (inline for one worker, in forked workers otherwise) that returns its
     sorted canonical points.  The variety is the sorted union, so output
     order is identical for every worker count.  The budget is checked
-    here, before any fork.
+    here, before any fork.  A variety that expands fewer than
+    ``_FORK_MIN_TUPLES`` tuples (500,000) runs in the parent whatever the
+    worker count: below it a fork costs more than it saves.
     """
     from .parallel import run_chunks
 
@@ -210,6 +218,13 @@ def repvariety(group, obj, budget=None, workers=1):
     _check_budget(group, obj.genus, budget)
     # builds the conjugator table before any fork: workers inherit it
     entries = least_first_handles(group)
+    # |G|^(2g-2) >= 2^(2g-2), so past the constant's bit length the estimate
+    # reaches it without raising |G| to the power
+    power = 2 * obj.genus - 2
+    if (group.order == 1 or power <= _FORK_MIN_TUPLES.bit_length()) and (
+        len(entries) * group.order ** power < _FORK_MIN_TUPLES
+    ):
+        workers = 1
     step = max(1, len(entries) // (4 * max(1, workers)))
     chunks = [entries[at:at + step] for at in range(0, len(entries), step)]
     _POOL_STATE["job"] = (group, obj.genus)

@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from floerkit import io as fio
+from floerkit import repvar
 from floerkit.cli import dispatch
 from floerkit.fieldfun import lens_chain, s1_x_s2_chain, sphere_chain
 from floerkit.groups import cyclic_group, symmetric_group
@@ -27,6 +31,9 @@ from floerkit.cats import bicategory_with_identity_2cells
 from floerkit.io import bicategory_to_json, category_to_json
 from floerkit.relcat import generator_set
 from floerkit.words import dehn_twist_a
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -643,6 +650,44 @@ def test_worker_determinism(files):
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1, base
+
+
+def test_repvar_output_is_the_same_with_a_forked_pool(files, monkeypatch, chunk_workers):
+    # S3 genus 2 is below the fork threshold; at 0, --workers 2 and 4 fork
+    monkeypatch.setattr(repvar, "_FORK_MIN_TUPLES", 0)
+    outputs = set()
+    for workers in ("1", "2", "4"):
+        code, out = run(["repvar", "--group", files["s3"], "--genus", "2", "--workers", workers])
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+    assert chunk_workers == [1, 2, 4]
+
+
+@pytest.mark.parametrize("threshold,imported", [(None, False), (0, True)])
+def test_repvar_imports_multiprocessing_only_to_fork(files, threshold, imported):
+    # a fresh process: --workers 2 over S3 genus 2 runs in the parent, and
+    # never imports multiprocessing, unless the fork threshold is forced to 0
+    force = "" if threshold is None else f"repvar._FORK_MIN_TUPLES = {threshold}\n"
+    script = (
+        "import sys\n"
+        "from floerkit import repvar\n"
+        "from floerkit.cli import dispatch\n"
+        f"{force}"
+        "code = dispatch(sys.argv[1:])\n"
+        "sys.stderr.write(f'{code} {\"multiprocessing\" in sys.modules}')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         "repvar", "--group", files["s3"], "--genus", "2", "--workers", "2"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == f"0 {imported}"
+    assert json.loads(proc.stdout)["points"]
 
 
 def test_output_file(files, tmp_path):

@@ -269,6 +269,9 @@ def test_input_validation(rels):
     bad_pair = (((1, 1, 1)), ())  # not a generator tuple
     with pytest.raises(InputNotGenerator):
         quilt_evaluate(q, {"in": bad_pair})
+    # points given as lists are not hashable, and no generator
+    with pytest.raises(InputNotGenerator):
+        quilt_evaluate(q, {"in": [[0, 0], [0, 0]]})
 
 
 def test_glue_cylinder_is_neutral(rels):

@@ -184,16 +184,20 @@ def test_generator_set_matches_brute_force(group):
     ]:
         # every tuple of node points whose consecutive pairs (cyclically)
         # lie in the relations
+        candidates = list(itertools.product(*(r.source.points for r in relations)))
         brute = [
             tup
-            for tup in itertools.product(*(r.source.points for r in relations))
+            for tup in candidates
             if all(
                 (tup[i], tup[(i + 1) % len(tup)]) in r.pairs
                 for i, r in enumerate(relations)
             )
         ]
         assert brute
-        assert generator_set(CyclicChain(relations)).tuples == tuple(sorted(brute))
+        gens = generator_set(CyclicChain(relations))
+        assert gens.tuples == tuple(sorted(brute))
+        members = set(brute)
+        assert all((tup in gens) == (tup in members) for tup in candidates)
 
 
 def test_rotation_bijection(s3_cache):

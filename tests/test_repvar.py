@@ -231,12 +231,34 @@ def test_least_first_handles_are_the_least_pairs(group):
 @pytest.mark.parametrize(
     "group,genus", [(S3, 3), (Q8, 2), (D6, 2)], ids=lambda v: getattr(v, "name", v)
 )
-def test_variety_from_least_first_handles_matches_every_solution(group, genus):
+def test_variety_from_least_first_handles_matches_every_solution(
+    group, genus, monkeypatch, chunk_workers
+):
+    # these varieties are below the fork threshold: with it at 0, two
+    # workers really fork
+    monkeypatch.setattr(repvar, "_FORK_MIN_TUPLES", 0)
     expected = tuple(sorted(
         {canonical_point(group, tup) for tup in enumerate_relator_solutions(group, genus)}
     ))
     for workers in (1, 2):
         assert repvariety(group, surface(genus), workers=workers).points == expected
+    assert chunk_workers == [1, 2]
+
+
+def test_small_varieties_run_in_the_parent_at_any_worker_count(
+    monkeypatch, chunk_workers
+):
+    # Q8 genus 2 expands 28 first handles times 8^2 = 1,792 tuples
+    assert len(least_first_handles(Q8)) * Q8.order ** 2 == 1792
+    expected = repvariety(Q8, surface(2)).points
+    for workers in (2, 4):
+        assert repvariety(Q8, surface(2), workers=workers).points == expected
+    # the pool is kept when the estimate reaches the threshold, dropped below it
+    monkeypatch.setattr(repvar, "_FORK_MIN_TUPLES", 1792)
+    assert repvariety(Q8, surface(2), workers=2).points == expected
+    monkeypatch.setattr(repvar, "_FORK_MIN_TUPLES", 1793)
+    assert repvariety(Q8, surface(2), workers=2).points == expected
+    assert chunk_workers == [1, 1, 1, 2, 1]
 
 
 def test_budget_enforced(monkeypatch):
@@ -253,15 +275,17 @@ def test_budget_enforced(monkeypatch):
     assert err.value.witness == {"order": 6, "genus": 3, "budget": 100}
 
 
-def test_conjugator_table_is_built_once_before_the_workers():
+def test_conjugator_table_is_built_once_before_the_workers(monkeypatch, chunk_workers):
     # built in the parent before the fork, so the workers inherit it and
     # the parent keeps it; constructing or loading a group does not build it
+    monkeypatch.setattr(repvar, "_FORK_MIN_TUPLES", 0)
     group = quaternion_group()
     loaded = group_from_json(group.to_json())
     assert "_pair_conjugators" not in group.__dict__
     assert "_pair_conjugators" not in loaded.__dict__
     repvariety(group, surface(2), workers=2)
     assert "_pair_conjugators" in group.__dict__
+    assert chunk_workers == [2]
 
 
 def test_budget_refuses_a_huge_genus_without_the_power():

@@ -3,12 +3,14 @@
 Morphisms are composable chains of simple cobordisms: cylinders over
 mapping classes, 2-handle attachments along transported circles, their
 adjoint 1-handle attachments, and the caps between the empty set and the
-sphere.  Cerf moves act as local rewrites on chains; the move set is
-symmetric (every instance knows its inverse) and restricted to circle
-configurations obtained by transporting the canonical pairs (a1, b1) and
-(a1, a2) by a common mapping class, which covers all the pair data the
-construction ever produces while keeping every rewrite computable from
-the transport alone.
+sphere.  Cerf moves act as local rewrites on chains.  Every move instance
+names an inverse instance, but that inverse need not apply: a switch of
+two 2-handles at genus g >= 3 has none, since handle_swap(g, 1, 2) is no
+involution there.  The moves are restricted to circle configurations
+obtained by transporting the canonical pairs (a1, b1) and (a1, a2) by a
+common mapping class, which covers all the pair data the construction
+ever produces while keeping every rewrite computable from the transport
+alone.
 
 Each move kind is defined once, by its contraction rule: what an adjacent
 pair of steps becomes.  CylMerge merges two cylinders; CylAbsorbPre
@@ -360,7 +362,8 @@ def _contraction(kind, a, b):
 def _check_move(move: CerfMoveInstance):
     """A contraction must take its old pair to its new steps; an
     expansion is checked as the contraction of its new pair back to its
-    old steps."""
+    old steps.  The rule is asked only about a pair that composes, so a
+    move that does not apply raises MoveNotApplicable whatever its kind."""
     kind, old, new = move.kind, move.old_steps, move.new_steps
     expanding = (
         kind in _EXPANSIONS
@@ -370,7 +373,8 @@ def _check_move(move: CerfMoveInstance):
     pair, image = (new, old) if expanding else (old, new)
     rule = _EXPANSIONS.get(kind, kind)
     result = None
-    if len(pair) == 2 and len(image) == (2 if rule == "CritSwitch" else 1):
+    composable = len(pair) == 2 and pair[0].target == pair[1].source
+    if composable and len(image) == (2 if rule == "CritSwitch" else 1):
         result = _contraction(rule, *pair)
     if result is None or not all(x.same_step(y) for x, y in zip(image, result)):
         raise MoveNotApplicable(
@@ -495,7 +499,9 @@ def cerf_connected(c1: CobordismChain, c2: CobordismChain, depth: int,
 
     Returns a list of CerfMoveInstance on success, None if no path was
     found within the depth bound; failure to find a path is not a proof
-    that the chains present different cobordisms.
+    that the chains present different cobordisms.  A move found from c2
+    is kept only when its inverse applies, so every returned path applies
+    under ``cerf_apply``.
     """
     if c1.source != c2.source or c1.target != c2.target:
         raise BoundaryMismatch("chains must share source and target")
@@ -506,8 +512,8 @@ def cerf_connected(c1: CobordismChain, c2: CobordismChain, depth: int,
     def key(ch):
         return ch.syntactic_key()
 
-    # frontier maps chain key -> (chain, path); paths from c2 are stored
-    # reversed (they will be inverted when the frontiers meet)
+    # frontier maps chain key -> (chain, path); a path from c2 holds the
+    # inverses of the moves found, so it leads back to c2 once reversed
     fwd = {key(c1): (c1, [])}
     bwd = {key(c2): (c2, [])}
     fwd_depth = bwd_depth = 0
@@ -522,6 +528,12 @@ def cerf_connected(c1: CobordismChain, c2: CobordismChain, depth: int,
                 k = key(nxt)
                 if k in frontier or k in new_frontier:
                     continue
+                if not expand_fwd:
+                    move = move.inverse()
+                    try:
+                        cerf_apply(nxt, move)
+                    except MoveNotApplicable:
+                        continue
                 new_frontier[k] = (nxt, path + [move])
         if expand_fwd:
             fwd_depth += 1
@@ -534,7 +546,7 @@ def cerf_connected(c1: CobordismChain, c2: CobordismChain, depth: int,
             k = sorted(meet)[0]
             _, fpath = fwd[k]
             _, bpath = bwd[k]
-            return fpath + [m.inverse() for m in reversed(bpath)]
+            return fpath + bpath[::-1]
         if not new_frontier:
             return None
     return None

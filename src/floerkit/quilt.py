@@ -24,6 +24,7 @@ sequences and nodes, gluing, shrinking and isomorphism read only that.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -1035,72 +1036,71 @@ def string_diagram(kind, *labels):
 # -- diagram isomorphism -----------------------------------------------------------
 
 
+def _face_forms(q: QuiltDiagram, data):
+    """Each patch's form, built leaves first: its object, the outgoing flags
+    of its bare ends, and the multiset of (circle label read outward, form)
+    over the circle regions hanging off it."""
+    s = q.surface
+    links = {}
+    for c, (pm, pp) in s.circle_seams.items():
+        links.setdefault(pm, []).append((pp, q.seam_labels[c]))
+        links.setdefault(pp, []).append((pm, q.seam_labels[c].transpose()))
+    parent = dict.fromkeys(data["faces"])
+    order = list(parent)
+    for p in order:  # grows as regions are reached, parents before children
+        for child, lab in links.get(p, ()):
+            if child not in parent:
+                parent[child] = (p, lab)
+                order.append(child)
+    forms, hanging = {}, {}
+    for p in reversed(order):
+        flags = sorted(e == s.outgoing for e in s.ends if not s.ends[e] and s.end_patch[e] == p)
+        hung = frozenset(Counter(hanging.get(p, ())).items())
+        forms[p] = (q.patch_labels[p], tuple(flags), hung)
+        if parent[p] is not None:
+            hanging.setdefault(parent[p][0], []).append((parent[p][1], forms[p]))
+    return forms
+
+
 def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
     """Isomorphism of labeled rotation systems preserving the outgoing end
-    and all labels (the combinatorial deformation relation).
-
-    Tries each permutation of the ends of q2 (in sorted order) that keeps
-    end lengths and the outgoing end, then each choice of a rotation per
-    end, and stops at the first map under which seams and patch labels
-    agree."""
-    s1, s2 = q1.surface, q2.surface
-    if len(s1.ends) != len(s2.ends) or len(s1.seams) != len(s2.seams):
+    and all labels (the combinatorial deformation relation).  A map of the
+    connected seam-ends commuting with sigma and alpha is fixed by the image
+    of the least seam-end of q1: each seam-end of q2 is tried, and the map
+    followed along sigma and alpha.  A seam-end and its image must agree in
+    end valence, outgoing flag, the label of the seam into them and the
+    form of their face (``_face_forms``), which places circle regions and
+    bare ends; seamless spheres compare the forms of their one face."""
+    (s1, d1), (s2, d2) = ((q.surface, q.surface.data()) for q in (q1, q2))
+    if len(s1.ends) != len(s2.ends) or len(d1["owner"]) != len(d2["owner"]):
         return False
-    if len(s1.circle_seams) != len(s2.circle_seams):
-        return False
-    d1, d2 = s1.data(), s2.data()
-    ends1 = sorted(s1.ends, key=repr)
-    ends2 = sorted(s2.ends, key=repr)
-    alpha2, into2 = d2["alpha"], d2["into"]
-
-    def try_map(triples):
-        # triples: (end of q1, its image end of q2, rotation)
-        half_map = {}
-        for e1, e2, rot in triples:
-            o1, o2 = s1.ends[e1], s2.ends[e2]
-            for i, h in enumerate(o1):
-                half_map[h] = o2[(i + rot) % len(o2)]
-        # seams must map to seams with equal labels: the image of a -> b
-        # is the seam of q2 oriented into the image of b
-        for s, (a, b) in s1.seams.items():
-            x, y = half_map[a], half_map[b]
-            if alpha2[x] != y or q1.seam_labels[s] != q2.label(*into2[y]):
-                return False
-        # patch labels must transport
-        for h, h2 in half_map.items():
-            p1 = d1["face_of"][h]
-            p2 = d2["face_of"][h2]
-            if q1.patch_labels[p1] != q2.patch_labels[p2]:
-                return False
-        return True
-
-    rotations = [range(max(len(s1.ends[e1]), 1)) for e1 in ends1]
-    for image in itertools.permutations(ends2):
-        if any(
-            len(s1.ends[e1]) != len(s2.ends[e2])
-            or (e1 == s1.outgoing) != (e2 == s2.outgoing)
-            for e1, e2 in zip(ends1, image)
-        ):
-            continue
-        if any(
-            try_map(zip(ends1, image, rots))
-            for rots in itertools.product(*rotations)
-        ):
-            break
-    else:
-        return False
-    if not s1.circle_seams and not s2.circle_seams:
-        return True
-    # with circle seams, compare the labeled circle structure separately
-    sig1 = sorted(
-        (repr(q1.patch_labels[pm]), repr(q1.patch_labels[pp]), repr(q1.seam_labels[c]))
-        for c, (pm, pp) in s1.circle_seams.items()
-    )
-    sig2 = sorted(
-        (repr(q2.patch_labels[pm]), repr(q2.patch_labels[pp]), repr(q2.seam_labels[c]))
-        for c, (pm, pp) in s2.circle_seams.items()
-    )
-    return sig1 == sig2
+    forms1, forms2 = _face_forms(q1, d1), _face_forms(q2, d2)
+    if not d1["owner"]:
+        return forms1["f0"] == forms2["f0"]
+    start = min(d1["owner"], key=repr)
+    for image in d2["owner"]:
+        mapped, stack = {start: image}, [start]
+        while stack:
+            h = stack.pop()
+            x = mapped[h]
+            (e, i), (f, j) = d1["owner"][h], d2["owner"][x]
+            o1, o2 = s1.ends[e], s2.ends[f]
+            nxt = ((o1[(i + 1) % len(o1)], o2[(j + 1) % len(o2)]),
+                   (d1["alpha"][h], d2["alpha"][x]))
+            fresh = {a: b for a, b in nxt if a not in mapped}
+            mapped.update(fresh)
+            stack.extend(fresh)
+            if (
+                len(o1) != len(o2)
+                or (e == s1.outgoing) != (f == s2.outgoing)
+                or q1.label(*d1["into"][h]) != q2.label(*d2["into"][x])
+                or forms1[d1["face_of"][h]] != forms2[d2["face_of"][x]]
+                or any(mapped[a] != b for a, b in nxt)
+            ):
+                break
+        else:
+            return True
+    return False
 
 
 # -- DOT export --------------------------------------------------------------------

@@ -264,10 +264,14 @@ class CyclicChain:
 @dataclass(frozen=True)
 class GeneratorSet:
     """All coherent tuples of a cyclic chain: one point per node with
-    every consecutive pair lying in the corresponding relation."""
+    every consecutive pair lying in the corresponding relation.  Both
+    ``tuples`` and membership read the tuples cached on the chain."""
 
     chain: CyclicChain
-    tuples: tuple
+
+    @property
+    def tuples(self):
+        return self.chain._generator_tuples
 
     def __len__(self):
         return len(self.tuples)
@@ -298,7 +302,7 @@ def generator_set(c: CyclicChain, budget=None) -> GeneratorSet:
             raise ResourceLimit(
                 f"generator enumeration would scan {est} tuples", witness=est
             )
-    return GeneratorSet(c, c._generator_tuples)
+    return GeneratorSet(c)
 
 
 def rotation_bijection(gens: GeneratorSet, shift):

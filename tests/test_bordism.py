@@ -269,6 +269,13 @@ def test_mixed_switch_emission():
         assert back.same_chain(c)
 
 
+def applied(c, path):
+    """The chain that the moves of path, applied in turn, lead c to."""
+    for move in path:
+        c = cerf_apply(c, move)
+    return c
+
+
 def test_cerf_connected_trivial_and_merge():
     t = dehn_twist_a(1)
     c = chain([cyl(t), cyl(t.inverse())])
@@ -277,32 +284,47 @@ def test_cerf_connected_trivial_and_merge():
     path = cerf_connected(c, target, depth=1)
     assert path is not None and len(path) == 1
     assert path[0].kind == "CylMerge"
-    # applying the path lands on the target
-    out = c
-    for m in path:
-        out = cerf_apply(out, m)
-    assert out.same_chain(target)
+    assert applied(c, path).same_chain(target)
 
 
 def test_cerf_connected_switch_distance_one():
     tau = handle_swap(2, 1, 2)
     c1 = chain([attach2(canonical_circle(2)), attach2(canonical_circle(1))])
     c2 = chain([attach2(AttachingCircle(2, tau)), attach2(canonical_circle(1))])
-    path = cerf_connected(c1, c2, depth=1)
-    assert path is not None and len(path) == 1
-    assert path[0].kind == "CritSwitch"
+    for a, b in ((c1, c2), (c2, c1)):
+        path = cerf_connected(a, b, depth=1)
+        assert path is not None and len(path) == 1
+        assert path[0].kind == "CritSwitch"
+        assert applied(a, path).same_chain(b)
 
 
 def test_cerf_connected_heegaard_genus1():
     # the two S^3 genus-1 chains: kill a then b, or kill b then a
     c1 = chain([CAP0, attach1(canonical_circle(1)), attach2(b_circle(1)), CAP3])
     c2 = chain([CAP0, attach1(b_circle(1)), attach2(canonical_circle(1)), CAP3])
-    path = cerf_connected(c1, c2, depth=4)
-    assert path is not None
-    out = c1
-    for m in path:
-        out = cerf_apply(out, m)
-    assert out.same_chain(c2)
+    for a, b in ((c1, c2), (c2, c1)):
+        path = cerf_connected(a, b, depth=4)
+        assert path is not None
+        assert applied(a, path).same_chain(b)
+
+
+def test_cerf_connected_keeps_only_moves_whose_inverse_applies():
+    # the switch from the second chain reaches the first, but its inverse
+    # does not apply there: handle_swap(3, 1, 2) is no involution
+    swapped = AttachingCircle(3, handle_swap(3, 1, 2))
+    c1 = chain([attach2(swapped), attach2(canonical_circle(2))])
+    c2 = chain([attach2(canonical_circle(3)), attach2(canonical_circle(2))])
+    (move, result), = [
+        (m, r) for m, r in cerf_neighbors(c2) if m.kind == "CritSwitch"
+    ]
+    assert result.same_chain(c1)
+    with pytest.raises(MoveNotApplicable):
+        cerf_apply(c1, move.inverse())
+    for depth in (1, 2):
+        assert cerf_connected(c1, c2, depth=depth) is None
+    # the other way round the switch is found forwards and applies
+    path = cerf_connected(c2, c1, depth=1)
+    assert path == [move] and applied(c2, path).same_chain(c1)
 
 
 def test_cerf_connected_boundary_check():
@@ -507,10 +529,15 @@ def outcome(apply, c, move):
 def test_cerf_apply_matches_the_per_kind_checks():
     """cerf_apply accepts the moves the per-kind checks accept, with the
     same results, and raises the same exception class otherwise, but for
-    two declared differences, where it now raises MoveNotApplicable:
+    three declared differences, where it now raises MoveNotApplicable:
     - the per-kind checks let an identity cylinder or canonical circle of
       the wrong genus through, and the chain then failed to compose
       (BoundaryMismatch); the rule compares genera;
+    - an expansion into a pair of steps that do not compose: the per-kind
+      checks composed the pair's mapping classes (GenusMismatch; CylSplit
+      and both absorbs) or let an absorb into a cap through, and the chain
+      then failed to compose (BoundaryMismatch); the rule is asked only
+      about composable pairs;
     - the (2-handle, 1-handle) switch check called itself with the same
       two pairs when both sides were such pairs (RecursionError)."""
     rng = random.Random(0)
@@ -525,6 +552,9 @@ def test_cerf_apply_matches_the_per_kind_checks():
             assert got is MoveNotApplicable, (c, move, got, expected)
             if expected is BoundaryMismatch:
                 oracle_check_move(move)
+            elif expected is GenusMismatch:
+                a, b = move.new_steps
+                assert a.target != b.source, (c, move)
             else:
                 assert expected is RecursionError, (c, move, got, expected)
                 assert [s.kind for s in move.old_steps + move.new_steps] == [
@@ -532,4 +562,12 @@ def test_cerf_apply_matches_the_per_kind_checks():
                 ]
             declared.add((move.kind, expected))
     assert accepted == set(MOVE_KINDS)
-    assert declared == {("CritCancel", BoundaryMismatch), ("CritSwitch", RecursionError)}
+    assert declared == {
+        ("CritCancel", BoundaryMismatch),
+        ("CritSwitch", RecursionError),
+        ("CylSplit", GenusMismatch),
+        ("CylAbsorbPre", GenusMismatch),
+        ("CylAbsorbPost", GenusMismatch),
+        ("CylAbsorbPre", BoundaryMismatch),
+        ("CylAbsorbPost", BoundaryMismatch),
+    }

@@ -32,12 +32,15 @@ from floerkit.fieldfun import PartialFunctorSpec, verify_cerf_compatibility
 from floerkit.groups import cyclic_group, symmetric_group
 from floerkit.io import diagram_from_json, diagram_to_json
 from floerkit.quilt import (
+    QuiltDiagram,
+    QuiltSurface,
     cap_diagram,
     cup_diagram,
     cylinder_diagram,
     diagrams_isomorphic,
     evaluates_to_identity,
     evaluation_map,
+    object_cylinder_diagram,
     quilt_evaluate,
     quilt_glue,
     shrink_strip,
@@ -113,6 +116,9 @@ def glue_and_shrink():
 
 
 def isomorphism():
+    # the walk, and the face forms with circle seams and bare ends: two
+    # bare ends on either side of a circle seam, and the same with the
+    # ends swapped
     cache = VarietyCache(S3)
     Y = relation_of_attach2(S3, canonical_circle(1), cache)
     G = relation_of_cyl(S3, dehn_twist_a(1), cache)
@@ -120,6 +126,23 @@ def isomorphism():
     assert not diagrams_isomorphic(
         cylinder_diagram([Y, Y.transpose()]), cylinder_diagram([G, G.transpose()])
     )
+    M = cache.variety(surface(1))
+    assert diagrams_isomorphic(object_cylinder_diagram(M), object_cylinder_diagram(M))
+    tubes = [
+        QuiltDiagram(
+            QuiltSurface(
+                {"in": (), "out": ()},
+                "out",
+                {},
+                circle_seams={"c": ("f0", "inner")},
+                end_patch=end_patch,
+            ),
+            {"f0": M, "inner": M},
+            {"c": G},
+        )
+        for end_patch in ({"in": "inner", "out": "f0"}, {"in": "f0", "out": "inner"})
+    ]
+    assert not diagrams_isomorphic(*tubes)
 
 
 def diagram_json_round_trip():

@@ -603,6 +603,93 @@ def test_glue_welds_matched_loops_into_circle_seam(rels):
         assert direct == composed
 
 
+def test_glue_carries_circle_seams_and_bare_ends(rels):
+    # a tube of two bare ends split by a circle seam, glued onto itself:
+    # both circle seams and both bare ends survive, and the glued map is
+    # the composite of the two maps
+    tube = _bare_ends_on(rels, {"in": "inner", "out": "f0"})
+    glued = quilt_glue(tube, tube, "in")
+    assert glued.is_valid() and glued.glue_offset == 0
+    s = glued.surface
+    assert set(s.circle_seams) == {("L", "c"), ("R", "c")}
+    assert s.ends == {("L", "in"): (), ("R", "out"): ()}
+    assert s.end_patch[("L", "in")] != s.end_patch[("R", "out")]
+    gens = generator_set(tube.end_cyclic_chain("in")).tuples
+    composed = {
+        t: set().union(*(quilt_evaluate(tube, {"in": y}) for y in quilt_evaluate(tube, {"in": t})))
+        for t in gens
+    }
+    assert composed != {t: quilt_evaluate(tube, {"in": t}) for t in gens}
+    assert {t: quilt_evaluate(glued, {("L", "in"): t}) for t in gens} == composed
+
+
+def test_glue_refuses_ends_of_different_valence(rels):
+    Y, G = rels["Y"], rels["G"]
+    with pytest.raises(CyclicMismatch) as info:
+        quilt_glue(cap_diagram(Y), cylinder_diagram([G, Y, Y.transpose()]), "in")
+    assert info.value.witness == (2, 3)
+
+
+def test_shrink_annulus_with_circle_seams_stored_either_way(rels):
+    # each circle seam stored as given or reversed with its label
+    # transposed: the merged seam runs from the outer patch to the core
+    # and carries G then S, as for the annulus stored in order
+    G, S = rels["G"], rels["S"]
+    v = rels["cache"].variety(surface(1))
+    plain = shrink_strip(_annulus(rels), "mid")
+    for flips in itertools.product((False, True), repeat=2):
+        circles, labels = {}, {}
+        for flip, c, sides, lab in zip(flips, ("c1", "c2"), (("f0", "mid"), ("mid", "core")), (G, S)):
+            circles[c] = sides[::-1] if flip else sides
+            labels[c] = lab.transpose() if flip else lab
+        surf = QuiltSurface({"out": ()}, "out", {}, circle_seams=circles, end_patch={"out": "f0"})
+        q = QuiltDiagram(surf, {"f0": v, "mid": v, "core": v}, labels)
+        assert q.is_valid()
+        shrunk = shrink_strip(q, "mid")
+        cid = ("merge", "c1", "c2")
+        assert shrunk.surface.circle_seams == {cid: ("f0", "core")}
+        assert shrunk.seam_labels == {cid: geometric_compose(G, S)}
+        assert quilt_evaluate(shrunk, {}) == quilt_evaluate(q, {})
+        assert diagrams_isomorphic(shrunk, plain)
+
+
+def test_shrink_strip_refusals(rels):
+    G, Y, D = rels["G"], rels["Y"], rels["D"]
+    base = cylinder_diagram([G, G.transpose(), G, G.transpose()])
+    s = base.surface
+    face = min(s.data()["faces"])
+    with_bare = QuiltDiagram(
+        QuiltSurface({**s.ends, "bare": ()}, "out", s.seams, end_patch={"bare": face}),
+        base.patch_labels,
+        base.seam_labels,
+    )
+    with_circle = QuiltDiagram(
+        QuiltSurface(s.ends, "out", s.seams, circle_seams={"c": (face, "inner")}),
+        {**base.patch_labels, "inner": D.source},
+        {**base.seam_labels, "c": D},
+    )
+    annulus = _annulus(rels)
+    a = annulus.surface
+    annulus_bare = QuiltDiagram(
+        QuiltSurface({"out": (), "in": ()}, "out", {}, a.circle_seams, {"out": "f0", "in": "mid"}),
+        annulus.patch_labels,
+        annulus.seam_labels,
+    )
+    cases = [
+        (cap_diagram(Y), "f0", "has 1 boundary seam-sides, need 2"),
+        (cylinder_diagram([G]), "f0", "is bounded by one seam on both sides"),
+        (with_bare, face, "carries a bare end"),
+        (with_circle, face, "touches circle seams"),
+        (annulus, "core", "touches 1 circle seams, need 2"),
+        (annulus_bare, "mid", "carries a bare end"),
+    ]
+    for q, p, message in cases:
+        assert q.is_valid(), message
+        with pytest.raises(NotAStrip) as info:
+            shrink_strip(q, p)
+        assert info.value.witness == p and str(info.value) == f"patch {p!r} {message}"
+
+
 # sha256 of io.dumps(diagram_to_json(...)) for each surgery result; shrinks
 # that raise record the error class instead
 SURGERY_DIGESTS = {
@@ -870,3 +957,236 @@ def test_warm_evaluation_matches_every_patch_assignment():
         first = {k: v for k, v in evaluation_map(q).items() if v}
         again = {k: v for k, v in evaluation_map(q).items() if v}
         assert first and first == again == brute_evaluation_map(q)
+
+
+# -- isomorphism ----------------------------------------------------------------
+#
+# The end-permutation and rotation search that diagrams_isomorphic made
+# before it followed the half-edge index from one seam-end, kept verbatim
+# as the independent route for diagrams without circle seams or bare ends
+# (it compared those only as sorted label reprs).
+
+
+def oracle_diagrams_isomorphic(q1, q2):
+    s1, s2 = q1.surface, q2.surface
+    if len(s1.ends) != len(s2.ends) or len(s1.seams) != len(s2.seams):
+        return False
+    if len(s1.circle_seams) != len(s2.circle_seams):
+        return False
+    d1, d2 = s1.data(), s2.data()
+    ends1 = sorted(s1.ends, key=repr)
+    ends2 = sorted(s2.ends, key=repr)
+    alpha2, into2 = d2["alpha"], d2["into"]
+
+    def try_map(triples):
+        # triples: (end of q1, its image end of q2, rotation)
+        half_map = {}
+        for e1, e2, rot in triples:
+            o1, o2 = s1.ends[e1], s2.ends[e2]
+            for i, h in enumerate(o1):
+                half_map[h] = o2[(i + rot) % len(o2)]
+        # seams must map to seams with equal labels: the image of a -> b
+        # is the seam of q2 oriented into the image of b
+        for s, (a, b) in s1.seams.items():
+            x, y = half_map[a], half_map[b]
+            if alpha2[x] != y or q1.seam_labels[s] != q2.label(*into2[y]):
+                return False
+        # patch labels must transport
+        for h, h2 in half_map.items():
+            p1 = d1["face_of"][h]
+            p2 = d2["face_of"][h2]
+            if q1.patch_labels[p1] != q2.patch_labels[p2]:
+                return False
+        return True
+
+    rotations = [range(max(len(s1.ends[e1]), 1)) for e1 in ends1]
+    for image in itertools.permutations(ends2):
+        if any(
+            len(s1.ends[e1]) != len(s2.ends[e2])
+            or (e1 == s1.outgoing) != (e2 == s2.outgoing)
+            for e1, e2 in zip(ends1, image)
+        ):
+            continue
+        if any(
+            try_map(zip(ends1, image, rots))
+            for rots in itertools.product(*rotations)
+        ):
+            break
+    else:
+        return False
+    if not s1.circle_seams and not s2.circle_seams:
+        return True
+    # with circle seams, compare the labeled circle structure separately
+    sig1 = sorted(
+        (repr(q1.patch_labels[pm]), repr(q1.patch_labels[pp]), repr(q1.seam_labels[c]))
+        for c, (pm, pp) in s1.circle_seams.items()
+    )
+    sig2 = sorted(
+        (repr(q2.patch_labels[pm]), repr(q2.patch_labels[pp]), repr(q2.seam_labels[c]))
+        for c, (pm, pp) in s2.circle_seams.items()
+    )
+    return sig1 == sig2
+
+
+def generic_diagram(rng, ends, outgoing, seams, circles=0, bare=0):
+    """A diagram with generic labels on a rotation system: each face and
+    each of ``circles`` circle regions gets object M or N, each region
+    hangs off a face or an earlier region of it, each seam and circle
+    seam gets label a or b typed by its sides, and ``bare`` bare ends sit
+    on random patches (the outgoing end may be one of them)."""
+    faces = QuiltSurface(ends, min(ends), seams).core_data()["faces"] if seams else {"f0": ()}
+    objects = {f: rng.choice("MN") for f in faces}
+    circle_seams = {}
+    for k in range(circles):
+        parent, region = rng.choice(sorted(objects)), f"r{k}"
+        objects[region] = rng.choice("MN")
+        circle_seams[f"c{k}"] = (parent, region) if rng.random() < 0.5 else (region, parent)
+    ends = {**ends, **{f"b{k}": () for k in range(bare)}}
+    end_patch = {e: rng.choice(sorted(objects)) for e, order in ends.items() if not order}
+    surf = QuiltSurface(ends, outgoing, seams, circle_seams, end_patch)
+    labels = {}
+    for s in list(seams) + list(circle_seams):
+        pm, pp = surf.seam_sides(s)
+        labels[s] = GenericMorphism(rng.choice("ab"), objects[pm], objects[pp])
+    return QuiltDiagram(surf, objects, labels)
+
+
+def isomorphic_copy(rng, q):
+    """q with every id renamed, each end's order rotated at random, and
+    each seam and circle seam stored reversed, its label transposed, at
+    random."""
+    s, d = q.surface, q.surface.data()
+    ends = {}
+    for e, order in s.ends.items():
+        k = rng.randrange(len(order)) if order else 0
+        ends[("E", e)] = tuple(("H", h) for h in order[k:] + order[:k])
+    seams, labels, circles = {}, {}, {}
+    for sid, (a, b) in s.seams.items():
+        flip = rng.random() < 0.5
+        seams[("S", sid)] = (("H", b), ("H", a)) if flip else (("H", a), ("H", b))
+        labels[("S", sid)] = q.label(sid, -1 if flip else +1)
+    outgoing = ("E", s.outgoing)
+    if seams:
+        face_of = QuiltSurface(ends, outgoing, seams).core_data()["face_of"]
+        patch = {f: face_of[("H", orbit[0])] for f, orbit in d["faces"].items()}
+    else:
+        patch = {"f0": "f0"}
+    patch.update({p: ("R", p) for p in d["patches"] if p not in d["faces"]})
+    for cid, (pm, pp) in s.circle_seams.items():
+        flip = rng.random() < 0.5
+        circles[("C", cid)] = (patch[pp], patch[pm]) if flip else (patch[pm], patch[pp])
+        labels[("C", cid)] = q.label(cid, -1 if flip else +1)
+    end_patch = {("E", e): patch[s.end_patch[e]] for e, order in s.ends.items() if not order}
+    surf = QuiltSurface(ends, outgoing, seams, circles, end_patch)
+    return QuiltDiagram(surf, {patch[p]: lab for p, lab in q.patch_labels.items()}, labels)
+
+
+def perturbed(rng, q, seed):
+    """q with one change that may break isomorphism: two seam-ends of an
+    end swapped (labels drawn again from seed), another end outgoing, or
+    one seam label renamed."""
+    s = q.surface
+    busy = [e for e in sorted(s.ends) if len(s.ends[e]) > 2]
+    kind = rng.choice(["swap"] * bool(busy) + ["outgoing"] * (len(s.ends) > 1) + ["label"])
+    if kind == "swap":
+        e = rng.choice(busy)
+        order = list(s.ends[e])
+        i, j = rng.sample(range(len(order)), 2)
+        order[i], order[j] = order[j], order[i]
+        return generic_diagram(random.Random(seed), {**s.ends, e: tuple(order)}, s.outgoing, s.seams)
+    if kind == "outgoing":
+        outgoing = rng.choice([e for e in sorted(s.ends) if e != s.outgoing])
+        return QuiltDiagram(QuiltSurface(s.ends, outgoing, s.seams), q.patch_labels, q.seam_labels)
+    sid = rng.choice(sorted(s.seams))
+    lab = q.seam_labels[sid]
+    renamed = GenericMorphism("ab"[lab.name == "a"], lab.source, lab.target)
+    return QuiltDiagram(s, q.patch_labels, {**q.seam_labels, sid: renamed})
+
+
+def test_isomorphism_matches_the_oracle():
+    # each labelled system paired with an isomorphic copy, with one
+    # perturbation of it and with a copy of that
+    rng = random.Random(20)
+    verdicts = []
+    for _ in range(1000):
+        ends, seams = random_rotation_system(rng)
+        seed = rng.random()
+        q = generic_diagram(random.Random(seed), ends, rng.choice(sorted(ends)), seams)
+        assert q.is_valid()
+        other = perturbed(rng, q, seed)
+        for q2 in (isomorphic_copy(rng, q), other, isomorphic_copy(rng, other)):
+            got = diagrams_isomorphic(q, q2)
+            assert got == oracle_diagrams_isomorphic(q, q2), (ends, seams, q.surface.outgoing)
+            verdicts.append(got)
+    assert len(verdicts) == 3000 and all(verdicts[::3])
+    # a copy of the perturbed diagram is isomorphic to q just when it is
+    assert verdicts[1::3] == verdicts[2::3] and 0 < sum(verdicts[1::3]) < 500
+
+
+def test_isomorphic_copies_with_circle_seams_and_bare_ends():
+    rng = random.Random(21)
+    for _ in range(300):
+        ends, seams = random_rotation_system(rng) if rng.random() < 0.8 else ({}, {})
+        bare = rng.randint(0 if ends else 1, 2)
+        outgoing = rng.choice(sorted(ends) + [f"b{k}" for k in range(bare)])
+        q = generic_diagram(rng, ends, outgoing, seams, circles=rng.randint(0, 4), bare=bare)
+        assert q.is_valid()
+        assert diagrams_isomorphic(q, isomorphic_copy(rng, q))
+        if q.surface.circle_seams:
+            # one circle label transposed in place: one more or one fewer
+            # circle reads a flipped label outward
+            c = rng.choice(sorted(q.surface.circle_seams))
+            flipped = {**q.seam_labels, c: q.seam_labels[c].transpose()}
+            q2 = isomorphic_copy(rng, QuiltDiagram(q.surface, q.patch_labels, flipped))
+            assert not diagrams_isomorphic(q, q2)
+
+
+def _circle_off_face(rels, face):
+    """One loop seam labelled G at the outgoing end, and a circle seam with
+    a one-pair label from the given face to an inner region."""
+    M = rels["cache"].variety(surface(1))
+    surf = QuiltSurface(
+        {"out": ("h0", "h1")}, "out", {"s0": ("h0", "h1")}, circle_seams={"c": (face, "inner")}
+    )
+    one_pair = FiniteRelation(M, M, frozenset({((1, 0), (1, 0))}))
+    return QuiltDiagram(surf, {"f0": M, "f1": M, "inner": M}, {"s0": rels["G"], "c": one_pair})
+
+
+def _bare_ends_on(rels, end_patch):
+    """Two bare ends and a circle seam labelled G from f0 to an inner region."""
+    M = rels["cache"].variety(surface(1))
+    surf = QuiltSurface(
+        {"in": (), "out": ()}, "out", {}, circle_seams={"c": ("f0", "inner")}, end_patch=end_patch
+    )
+    return QuiltDiagram(surf, {"f0": M, "inner": M}, {"c": rels["G"]})
+
+
+def test_seamless_spheres_compare_their_objects(rels):
+    # no seam label carries the object of a sphere without seams
+    spheres = [
+        QuiltDiagram(QuiltSurface({"out": ()}, "out", {}), {"f0": rels["cache"].variety(surface(g))}, {})
+        for g in (1, 1, 2)
+    ]
+    assert all(q.is_valid() for q in spheres)
+    assert diagrams_isomorphic(spheres[0], spheres[1])
+    assert not diagrams_isomorphic(spheres[0], spheres[2])
+
+
+@pytest.mark.parametrize("pair", ["circle in another face", "bare ends swapped"])
+def test_diagrams_with_different_maps_are_not_isomorphic(rels, pair):
+    # the permutation search called both pairs isomorphic: it compared
+    # circle seams by their labels alone and never placed bare ends
+    assert rels["G"] != rels["G"].transpose()
+    if pair == "circle in another face":
+        q1, q2 = _circle_off_face(rels, "f0"), _circle_off_face(rels, "f1")
+        assert evaluation_map(q1) == {(): {((1, 0), (1, 1))}}
+        assert evaluation_map(q2) == {(): {((1, 1), (1, 0))}}
+    else:
+        q1 = _bare_ends_on(rels, {"in": "inner", "out": "f0"})
+        q2 = _bare_ends_on(rels, {"in": "f0", "out": "inner"})
+        assert evaluation_map(q1) != evaluation_map(q2)
+    assert q1.is_valid() and q2.is_valid()
+    assert oracle_diagrams_isomorphic(q1, q2)
+    assert not diagrams_isomorphic(q1, q2) and not diagrams_isomorphic(q2, q1)
+    rng = random.Random(0)
+    assert all(diagrams_isomorphic(q, isomorphic_copy(rng, q)) for q in (q1, q2))

@@ -530,8 +530,8 @@ def cerf_connected(c1: CobordismChain, c2: CobordismChain, depth: int,
                     continue
                 if not expand_fwd:
                     move = move.inverse()
-                    try:
-                        cerf_apply(nxt, move)
+                    try:  # the window matches: nxt holds its old steps at its pos
+                        _check_move(move)
                     except MoveNotApplicable:
                         continue
                 new_frontier[k] = (nxt, path + [move])

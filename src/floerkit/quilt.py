@@ -1036,16 +1036,16 @@ def string_diagram(kind, *labels):
 # -- diagram isomorphism -----------------------------------------------------------
 
 
-def _face_forms(q: QuiltDiagram, data):
-    """Each patch's form, built leaves first: its object, the outgoing flags
-    of its bare ends, and the multiset of (circle label read outward, form)
-    over the circle regions hanging off it."""
+def _face_forms(q: QuiltDiagram, *roots):
+    """Each patch's form in the region trees rooted at ``roots``, built
+    leaves first: its object, the outgoing flags of its bare ends, and the
+    multiset of (circle label read outward, form) over its child regions."""
     s = q.surface
     links = {}
     for c, (pm, pp) in s.circle_seams.items():
         links.setdefault(pm, []).append((pp, q.seam_labels[c]))
         links.setdefault(pp, []).append((pm, q.seam_labels[c].transpose()))
-    parent = dict.fromkeys(data["faces"])
+    parent = dict.fromkeys(roots)
     order = list(parent)
     for p in order:  # grows as regions are reached, parents before children
         for child, lab in links.get(p, ()):
@@ -1070,13 +1070,13 @@ def diagrams_isomorphic(q1: QuiltDiagram, q2: QuiltDiagram):
     followed along sigma and alpha.  A seam-end and its image must agree in
     end valence, outgoing flag, the label of the seam into them and the
     form of their face (``_face_forms``), which places circle regions and
-    bare ends; seamless spheres compare the forms of their one face."""
+    bare ends; a seamless sphere's f0 may match any region of q2."""
     (s1, d1), (s2, d2) = ((q.surface, q.surface.data()) for q in (q1, q2))
     if len(s1.ends) != len(s2.ends) or len(d1["owner"]) != len(d2["owner"]):
         return False
-    forms1, forms2 = _face_forms(q1, d1), _face_forms(q2, d2)
+    forms1, forms2 = _face_forms(q1, *d1["faces"]), _face_forms(q2, *d2["faces"])
     if not d1["owner"]:
-        return forms1["f0"] == forms2["f0"]
+        return any(_face_forms(q2, p)[p] == forms1["f0"] for p in d2["patches"])
     start = min(d1["owner"], key=repr)
     for image in d2["owner"]:
         mapped, stack = {start: image}, [start]

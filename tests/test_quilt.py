@@ -1054,7 +1054,7 @@ def generic_diagram(rng, ends, outgoing, seams, circles=0, bare=0):
 def isomorphic_copy(rng, q):
     """q with every id renamed, each end's order rotated at random, and
     each seam and circle seam stored reversed, its label transposed, at
-    random."""
+    random; on a seamless sphere a random region becomes f0."""
     s, d = q.surface, q.surface.data()
     ends = {}
     for e, order in s.ends.items():
@@ -1070,8 +1070,8 @@ def isomorphic_copy(rng, q):
         face_of = QuiltSurface(ends, outgoing, seams).core_data()["face_of"]
         patch = {f: face_of[("H", orbit[0])] for f, orbit in d["faces"].items()}
     else:
-        patch = {"f0": "f0"}
-    patch.update({p: ("R", p) for p in d["patches"] if p not in d["faces"]})
+        patch = {"f0": ("R", "f0"), rng.choice(d["patches"]): "f0"}
+    patch.update({p: ("R", p) for p in d["patches"] if p not in patch})
     for cid, (pm, pp) in s.circle_seams.items():
         flip = rng.random() < 0.5
         circles[("C", cid)] = (patch[pp], patch[pm]) if flip else (patch[pm], patch[pp])
@@ -1152,13 +1152,14 @@ def _circle_off_face(rels, face):
     return QuiltDiagram(surf, {"f0": M, "f1": M, "inner": M}, {"s0": rels["G"], "c": one_pair})
 
 
-def _bare_ends_on(rels, end_patch):
-    """Two bare ends and a circle seam labelled G from f0 to an inner region."""
+def _bare_ends_on(rels, end_patch, label=None):
+    """Two bare ends and a circle seam from f0 to an inner region, labelled
+    G unless another label is given."""
     M = rels["cache"].variety(surface(1))
     surf = QuiltSurface(
         {"in": (), "out": ()}, "out", {}, circle_seams={"c": ("f0", "inner")}, end_patch=end_patch
     )
-    return QuiltDiagram(surf, {"f0": M, "inner": M}, {"c": rels["G"]})
+    return QuiltDiagram(surf, {"f0": M, "inner": M}, {"c": rels["G"] if label is None else label})
 
 
 def test_seamless_spheres_compare_their_objects(rels):
@@ -1170,6 +1171,34 @@ def test_seamless_spheres_compare_their_objects(rels):
     assert all(q.is_valid() for q in spheres)
     assert diagrams_isomorphic(spheres[0], spheres[1])
     assert not diagrams_isomorphic(spheres[0], spheres[2])
+
+
+def test_seamless_spheres_may_name_any_region_f0(rels):
+    # f0 and the inner region trade names: the circle seam is stored the
+    # other way round, its label transposed, and the bare ends follow
+    M = rels["cache"].variety(surface(1))
+    q = object_cylinder_diagram(M)
+    unit = q.seam_labels[("c", 0)]
+    surf = QuiltSurface(
+        {"in": (), "out": ()}, "out", {}, circle_seams={("c", 0): ("f0", "inner")},
+        end_patch={"in": "f0", "out": "inner"},
+    )
+    renamed = QuiltDiagram(surf, {"f0": M, "inner": M}, {("c", 0): unit.transpose()})
+    pairs = [(q, renamed)]
+    G, Gt = rels["G"], rels["G"].transpose()
+    for in_on, out_on in (("inner", "f0"), ("f0", "inner")):
+        pairs.append((
+            _bare_ends_on(rels, {"in": in_on, "out": out_on}),
+            _bare_ends_on(rels, {"in": out_on, "out": in_on}, Gt),
+        ))
+    for q1, q2 in pairs:
+        assert q1.is_valid() and q2.is_valid()
+        assert evaluation_map(q1) == evaluation_map(q2)
+        assert diagrams_isomorphic(q1, q2) and diagrams_isomorphic(q2, q1)
+    # renaming keeps witness B's two tubes apart
+    assert G != Gt
+    assert not diagrams_isomorphic(pairs[1][1], pairs[2][0])
+    assert not diagrams_isomorphic(pairs[1][0], pairs[2][1])
 
 
 @pytest.mark.parametrize("pair", ["circle in another face", "bare ends swapped"])

@@ -1,22 +1,27 @@
 """Finite, table-driven categories, functors, natural transformations,
 bicategories, the Yoneda construction, and quotients by 2-isomorphisms.
 
-Everything is exactly validated: a FinCategory checks the identity laws on
-every morphism and associativity by Light's test at construction, a
-FinFunctor checks preservation on every morphism, a NatTransformation
-checks every naturality square.  The 2-cells of a FinBicategory under
-vertical composition are one FinCategory, so that check covers them.
-Light's test (``_first_nonassociative``) is the one associativity check of
-the package: group tables use it too.  A FinBicategory decides
-2-isomorphism, its horizontal laws and its quotient from one cached index
-of 2-isomorphism classes.  Composition is written diagrammatically
-throughout: ``compose(f, g)`` means "f then g".
+Everything is exactly validated: a FinCategory numbers its morphisms and
+writes its composition on those numbers in one pass (``_numbered``), then
+checks the identity laws on every morphism and associativity by Light's
+test, a FinFunctor checks preservation on every morphism, a
+NatTransformation checks every naturality square.  The 2-cells of a
+FinBicategory under vertical composition are one FinCategory, so that
+check covers them.  Light's test (``_first_nonassociative``) on integer
+tables is the one associativity check of the package: a group's table, as
+a flat list, goes through it too.  The functor and transformation searches
+read a numbering of their target (``_index``) that the same helper builds
+on first use.  A FinBicategory decides 2-isomorphism, its horizontal laws
+and its quotient from one cached index of 2-isomorphism classes.
+Composition is written diagrammatically throughout: ``compose(f, g)``
+means "f then g".
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from types import MappingProxyType
 
 from .errors import (
@@ -27,44 +32,85 @@ from .errors import (
 )
 
 
-def _first_nonassociative(cells, identities, comp):
-    """The first composable (f, g, h), in table order, with (fg)h != f(gh),
-    or None.  ``cells`` maps each cell to its (source, target) in table
-    order and ``comp[f, g]`` is f then g.  The identity laws must hold, so
-    no triple holding one of ``identities`` fails, and they enter no loop.
-    Light's test decides (Clifford and Preston, "The Algebraic Theory of
-    Semigroups", vol. 1, 1961): the middles a with (xa)y == x(ay) for all x
-    and y are closed under composition, so only generators are checked.
-    Only a failing table runs the scan for the first witness.
+def _first_nonassociative(src, dst, identities, table):
+    """The first composable (f, g, h) of cells 0..n-1, in index order, with
+    (fg)h != f(gh), or None.  Cell f runs from src[f] to dst[f] and
+    ``table[f * n + g]`` is the number of f then g.  The identity laws must
+    hold, so no triple holding one of ``identities`` fails, and they enter
+    no loop.  Light's test decides (Clifford and Preston, "The Algebraic
+    Theory of Semigroups", vol. 1, 1961): the middles a with (xa)y == x(ay)
+    for all x and y are closed under composition, so only generators are
+    checked.  Only a failing table runs the scan for the first witness.
     """
-    cells = {f: ends for f, ends in cells.items() if f not in identities}
-    out_of, into, gens, products = {}, {}, [], set()
-    for f, (s, d) in cells.items():
-        out_of.setdefault(s, []).append(f)
-        into.setdefault(d, []).append(f)
-    for a, (s, _) in cells.items():
-        if a not in products:  # a generator: close the products under it
+    n = len(src)
+    cells = [f for f in range(n) if f not in identities]
+    out_of, into, gens, products, made = {}, {}, [], [], bytearray(n)
+    for f in cells:
+        out_of.setdefault(src[f], []).append(f)
+        into.setdefault(dst[f], []).append(f)
+    for a in cells:
+        if not made[a]:  # a generator: close the products under it
             gens.append(a)
-            todo = [a] + [comp[x, a] for x in products if cells[x][1] == s]
+            todo = [a] + [table[x * n + a] for x in products if dst[x] == src[a]]
             while todo:
                 x = todo.pop()
-                if x in cells and x not in products:
-                    products.add(x)
-                    todo += [comp[x, g] for g in gens if cells[g][0] == cells[x][1]]
+                if not made[x] and x not in identities:
+                    made[x] = 1
+                    products.append(x)
+                    todo += [table[x * n + g] for g in gens if src[g] == dst[x]]
     for a in gens:
-        right = [(y, comp[a, y]) for y in out_of.get(cells[a][1], ())]
-        for x in into.get(cells[a][0], ()):
-            xa = comp[x, a]
-            for y, ay in right:
-                if comp[xa, y] != comp[x, ay]:
-                    return next(
-                        (f, g, h)
-                        for f, (_, df) in cells.items()
-                        for g in out_of.get(df, ())
-                        for h in out_of.get(cells[g][1], ())
-                        if comp[comp[f, g], h] != comp[f, comp[g, h]]
-                    )
+        ys = out_of.get(dst[a], ())
+        ays = [table[a * n + y] for y in ys]
+        for x in into.get(src[a], ()):
+            xa, xn = table[x * n + a] * n, x * n
+            if [table[xa + y] for y in ys] != [table[xn + ay] for ay in ays]:
+                return next(
+                    (f, g, h)
+                    for f in cells
+                    for g in out_of.get(dst[f], ())
+                    for h in out_of.get(dst[g], ())
+                    if table[table[f * n + g] * n + h] != table[f * n + table[g * n + h]]
+                )
     return None
+
+
+def _numbered(objects, morphisms, comp):
+    """(position, src, dst, table, bad) from one pass over ``comp``: the
+    number of each morphism in table order, the object positions of the
+    ends of each number, ``table[f * n + g]`` the number of f then g, and
+    the first key of ``comp`` whose value is not a morphism with the right
+    ends (its entry left out), or None.  Raises the domain mismatch when
+    the keys are not the composable pairs: they are counted, and a set of
+    them is built only for the witness.
+    """
+    at = {x: i for i, x in enumerate(objects)}
+    position = {f: i for i, f in enumerate(morphisms)}
+    src = [at[s] for s, _ in morphisms.values()]
+    dst = [at[d] for _, d in morphisms.values()]
+    n, table, bad, domain = len(position), {}, None, True
+    for key, h in comp.items():
+        i = j = -1
+        if isinstance(key, tuple) and len(key) == 2:
+            i, j = position.get(key[0], -1), position.get(key[1], -1)
+        if i < 0 or j < 0 or dst[i] != src[j]:
+            domain = False
+            break
+        try:
+            k = position.get(h, -1)
+        except TypeError:  # unhashable: raised again after the domain check
+            k = -1
+        if k >= 0 and src[k] == src[i] and dst[k] == dst[j]:
+            table[i * n + j] = k
+        elif bad is None:
+            bad = key
+    starting = [[] for _ in objects]
+    for f, s in enumerate(src):
+        starting[s].append(f)
+    if domain and len(comp) == sum(len(starting[d]) for d in dst):
+        return position, src, dst, table, bad
+    ids = list(position)
+    composable = {(ids[f], ids[g]) for f, d in enumerate(dst) for g in starting[d]}
+    raise _domain_mismatch("composition table", comp, composable)
 
 
 def _domain_mismatch(name, table, expected):
@@ -120,47 +166,70 @@ class FinCategory:
             out.setdefault(ends, []).append(f)
         return MappingProxyType({ends: tuple(fs) for ends, fs in out.items()})
 
+    @functools.cached_property
+    def _index(self):
+        """(ids, position, table, hom): the morphisms in table order, their
+        numbers, ``_numbered``'s table and ``by_ends`` on numbers; built on
+        first use, for the functor and transformation searches."""
+        position, _, _, table, _ = _numbered(self.objects, self.morphisms, self.comp)
+        hom = {ends: tuple(position[f] for f in fs) for ends, fs in self.by_ends.items()}
+        return list(position), position, table, hom
+
+    @functools.cached_property
+    def _squares(self):
+        """(objects in repr order, squares): squares[t] holds (k, i, j) for
+        each morphism number k from object i to j with max(i, j) == t, in
+        table order; built on first use, for ``all_nats``."""
+        objs = sorted(self.objects, key=repr)
+        at = {x: i for i, x in enumerate(objs)}
+        squares = [[] for _ in objs]
+        for k, (x, y) in enumerate(self.morphisms.values()):
+            i, j = at[x], at[y]
+            squares[max(i, j)].append((k, i, j))
+        return objs, squares
+
     def validate(self):
         objset = set(self.objects)
         if len(self.objects) != len(objset):
             raise CategoryMismatch("duplicate object ids")
-        mor, comp = self.morphisms, self.comp
-        starting = {x: [] for x in self.objects}
+        mor = self.morphisms
         for f, (s, d) in mor.items():
             if s not in objset or d not in objset:
                 raise CategoryMismatch(
                     f"morphism {f!r} has endpoints outside the object set",
                     witness=f,
                 )
-            starting[s].append((f, d))
         for x in self.objects:
             i = self.identity.get(x)
             if i not in mor or mor[i] != (x, x):
                 raise CategoryMismatch(
                     f"identity of {x!r} missing or not an endomorphism", witness=x
                 )
-        composable = {(f, g) for f, (_, d) in mor.items() for g, _ in starting[d]}
-        if set(comp) != composable:
-            raise _domain_mismatch("composition table", comp, composable)
-        for (f, g), h in comp.items():
+        position, src, dst, table, bad = _numbered(self.objects, mor, self.comp)
+        if bad is not None:
+            f, g = bad
+            h = self.comp[bad]
             if h not in mor:
                 raise CategoryMismatch(f"composite {h!r} not a morphism", witness=(f, g))
-            if mor[h] != (mor[f][0], mor[g][1]):
+            raise CategoryMismatch(
+                f"composite of {f!r}, {g!r} has wrong endpoints", witness=(f, g, h)
+            )
+        ids, n = list(position), len(position)
+        unit = [position[self.identity[x]] for x in self.objects]
+        for f, (s, d) in enumerate(zip(src, dst)):
+            if table[unit[s] * n + f] != f:
                 raise CategoryMismatch(
-                    f"composite of {f!r}, {g!r} has wrong endpoints", witness=(f, g, h)
+                    f"left identity law fails at {ids[f]!r}", witness=("left", ids[f])
                 )
-        for f, (s, d) in mor.items():
-            if comp[(self.identity[s], f)] != f:
+            if table[f * n + unit[d]] != f:
                 raise CategoryMismatch(
-                    f"left identity law fails at {f!r}", witness=("left", f)
+                    f"right identity law fails at {ids[f]!r}", witness=("right", ids[f])
                 )
-            if comp[(f, self.identity[d])] != f:
-                raise CategoryMismatch(
-                    f"right identity law fails at {f!r}", witness=("right", f)
-                )
-        witness = _first_nonassociative(mor, {self.identity[x] for x in objset}, comp)
+        witness = _first_nonassociative(src, dst, set(unit), table)
         if witness is not None:
-            raise CategoryMismatch("associativity fails", witness=witness)
+            raise CategoryMismatch(
+                "associativity fails", witness=tuple(ids[f] for f in witness)
+            )
 
     def __repr__(self):
         return (
@@ -189,6 +258,15 @@ class FinFunctor:
 
     def on_obj(self, x):
         return self.obj_map[x]
+
+    @functools.cached_property
+    def _images(self):
+        """The images of the source's objects in repr order and the target
+        numbers of the images of its morphisms in table order; built on
+        first use, for ``all_nats``."""
+        position = self.target._index[1]
+        return ([self.obj_map[x] for x in self.source._squares[0]],
+                [position[self.mor_map[f]] for f in self.source.morphisms])
 
     def validate(self):
         C, D = self.source, self.target
@@ -367,14 +445,15 @@ def nat_horizontal_compose(eta01: NatTransformation, eta12: NatTransformation):
 # -- exhaustive enumeration of functors and transformations -----------------
 
 
-def _extend_images(images, candidates, checks, comp):
-    """Each tuple of morphism images extended by each candidate image that
-    preserves every checked composition (index, index, index of composite)."""
+def _extend_images(images, candidates, checks, table, n):
+    """Each tuple of morphism images (target numbers) extended by each
+    candidate image that preserves every checked composition (index,
+    index, index of composite)."""
     for prefix in images:
         for g in candidates:
             nxt = prefix + (g,)
             for a, b, c in checks:
-                if comp[(nxt[a], nxt[b])] != nxt[c]:
+                if table[nxt[a] * n + nxt[b]] != nxt[c]:
                     break
             else:
                 yield nxt
@@ -397,6 +476,8 @@ def all_functors(C, D, limit=None):
     for (a, b), c in C.comp.items():
         at = (position[a], position[b], position[c])
         checks[max(at)].append(at)
+    ids, numbers, table, hom = D._index
+    unit = {x: (numbers[D.identity[x]],) for x in D.objects}
 
     def functors():
         for values in itertools.product(D.objects, repeat=len(objs)):
@@ -404,12 +485,12 @@ def all_functors(C, D, limit=None):
             images = [()]
             for (f, (s, d)), at in zip(mor_items, checks):
                 if f == C.identity[s]:
-                    candidates = (D.identity[obj_map[s]],)
+                    candidates = unit[obj_map[s]]
                 else:
-                    candidates = D.by_ends.get((obj_map[s], obj_map[d]), ())
-                images = _extend_images(images, candidates, at, D.comp)
+                    candidates = hom.get((obj_map[s], obj_map[d]), ())
+                images = _extend_images(images, candidates, at, table, len(ids))
             for image in images:
-                yield FinFunctor(C, D, obj_map, dict(zip(mors, image)))
+                yield FinFunctor(C, D, obj_map, dict(zip(mors, map(ids.__getitem__, image))))
 
     return list(itertools.islice(functors(), limit))
 
@@ -422,46 +503,49 @@ def all_nats(F, G):
     components at x and y are both chosen."""
     if F.source != G.source or F.target != G.target:
         raise CategoryMismatch("natural transformation needs parallel functors")
-    C, D = F.source, F.target
-    objs = sorted(C.objects, key=repr)
-    position = {x: i for i, x in enumerate(objs)}
-    # squares of each k: x -> y, by the later of x and y: (F(k), i_x, i_y, G(k))
-    squares = [[] for _ in objs]
-    for k, (x, y) in C.morphisms.items():
-        i, j = position[x], position[y]
-        squares[max(i, j)].append((F.mor_map[k], i, j, G.mor_map[k]))
-    comp = D.comp
+    objs, squares = F.source._squares
+    (f_obj, f_mor), (g_obj, g_mor) = F._images, G._images
+    ids, _, table, hom = F.target._index
+    n = len(ids)
     chosen = [()]
-    for x, at in zip(objs, squares):
-        hom = D.by_ends.get((F.obj_map[x], G.obj_map[x]), ())
+    for fx, gx, at in zip(f_obj, g_obj, squares):
+        # (F(k) * n, i, j, G(k)) for each k: i -> j whose later end is x
+        at = [(f_mor[k] * n, i, j, g_mor[k]) for k, i, j in at]
         grown = []
         for c in chosen:
-            for m in hom:
+            for m in hom.get((fx, gx), ()):
                 nxt = c + (m,)
                 for fk, i, j, gk in at:
-                    if comp[(fk, nxt[j])] != comp[(nxt[i], gk)]:
+                    if table[fk + nxt[j]] != table[nxt[i] * n + gk]:
                         break
                 else:
                     grown.append(nxt)
         chosen = grown
-    return [NatTransformation._checked(F, G, dict(zip(objs, c))) for c in chosen]
+    return [
+        NatTransformation._checked(F, G, dict(zip(objs, map(ids.__getitem__, c))))
+        for c in chosen
+    ]
 
 
 def functor_category(C, D, functor_limit=None):
     """The category Fun(C, D) with functors as objects and natural
     transformations as morphisms, built by exhaustive enumeration.
 
-    Composites and identities are looked up by their components (in
-    C.objects order) among the transformations all_nats built: a composite
-    of natural transformations is natural.  FinCategory checks every law.
+    Composites and identities are looked up by their components (target
+    numbers, objects in repr order) among the transformations all_nats
+    built: a composite of natural transformations is natural.  FinCategory
+    checks every law.
     """
     fid = dict(enumerate(all_functors(C, D, limit=functor_limit)))
+    ids, numbers, table, _ = D._index
+    n = len(ids)
+    objs, _ = C._squares
     morphisms, nat_by_id, by_components = {}, {}, {}
     leaving = {i: [] for i in fid}  # i -> (id, components) of the nats out of F_i
     for i, F in fid.items():
         for j, G in fid.items():
             for k, eta in enumerate(all_nats(F, G)):
-                components = tuple(eta.components[x] for x in C.objects)
+                components = tuple(numbers[eta.components[x]] for x in objs)
                 morphisms[(i, j, k)] = (i, j)
                 nat_by_id[(i, j, k)] = eta
                 by_components[(i, j, components)] = (i, j, k)
@@ -469,11 +553,12 @@ def functor_category(C, D, functor_limit=None):
     comp = {}
     for i in fid:
         for m1, c1 in leaving[i]:
+            row = [a * n for a in c1]
             for m2, c2 in leaving[m1[1]]:
-                composite = tuple(D.comp[pair] for pair in zip(c1, c2))
+                composite = tuple(map(table.__getitem__, map(operator.add, row, c2)))
                 comp[(m1, m2)] = by_components[(i, m2[1], composite)]
     identity = {
-        i: by_components[(i, i, tuple(D.identity[F.obj_map[x]] for x in C.objects))]
+        i: by_components[(i, i, tuple(numbers[D.identity[x]] for x in F._images[0]))]
         for i, F in fid.items()
     }
     cat = FinCategory(

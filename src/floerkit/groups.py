@@ -2,9 +2,10 @@
 
 A group is a square table ``mul`` of element indices with the convention
 that index 0 is the two-sided identity.  Loading a table validates the
-identity, associativity (by Light's test) and inverses, and precomputes
-the inverse table and the conjugacy class partition; everything downstream
-(representation varieties, relations, invariants) uses this class.
+identity, associativity (by Light's test, on the table as a flat list of
+ints) and inverses, and precomputes the inverse table and the conjugacy
+class partition; everything downstream (representation varieties,
+relations, invariants) uses this class.
 
 Elements are plain ``int`` indices.  Instances are immutable after
 construction and safe to share between worker processes.
@@ -55,8 +56,10 @@ class FiniteGroup:
             )
             raise NoIdentity("element 0 is not a two-sided identity", witness=bad)
 
-        # the table as a one-object category with identity 0
-        witness = _first_nonassociative(dict.fromkeys(range(n), (0, 0)), {0}, table)
+        # the table as a one-object category with identity 0, read as a
+        # flat list of ints: a numpy scalar read costs ten times as much
+        ends = [0] * n
+        witness = _first_nonassociative(ends, ends, {0}, table.ravel().tolist())
         if witness is not None:
             a, b, c = witness
             raise NonAssociative(

@@ -633,6 +633,13 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
         raise CyclicMismatch(
             f"end valences differ: {k} vs {len(labels2)}", witness=(k, len(labels2))
         )
+    # a bare end reads one unit label, so equal valences can still pair a
+    # bare end with an end of one seam
+    counts = (len(s1.ends[s1.outgoing]), len(s2.ends[e]))
+    if counts[0] != counts[1]:
+        raise CyclicMismatch(
+            f"end seam-end counts differ: {counts[0]} vs {counts[1]}", witness=counts
+        )
     offset = None
     for r in range(max(k, 1)):
         rot_labels = labels2[r:] + labels2[:r]

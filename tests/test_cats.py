@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from floerkit.catgen import (
+    monoid_category,
     path_category,
     poset_category,
     random_category,
@@ -134,6 +135,139 @@ def test_associativity_check_matches_brute_force():
             outcomes.add((len(cat.objects) > 1, raised))
     # (several objects?, raised?): every combination occurs
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def validate_oracle(objects, morphisms, comp, identity):
+    """FinCategory.validate as it was before the one-pass numbering: a
+    pass per check, the domain compared as sets, and the associativity
+    witness from the brute-force scan."""
+    objset = set(objects)
+    if len(objects) != len(objset):
+        raise CategoryMismatch("duplicate object ids")
+    mor = morphisms
+    starting = {x: [] for x in objects}
+    for f, (s, d) in mor.items():
+        if s not in objset or d not in objset:
+            raise CategoryMismatch(
+                f"morphism {f!r} has endpoints outside the object set",
+                witness=f,
+            )
+        starting[s].append((f, d))
+    for x in objects:
+        i = identity.get(x)
+        if i not in mor or mor[i] != (x, x):
+            raise CategoryMismatch(
+                f"identity of {x!r} missing or not an endomorphism", witness=x
+            )
+    composable = {(f, g) for f, (_, d) in mor.items() for g, _ in starting[d]}
+    keys = set(comp)
+    if keys != composable:
+        raise CategoryMismatch(
+            "composition table domain mismatch",
+            witness={
+                "extra": sorted(keys - composable, key=repr)[:3],
+                "missing": sorted(composable - keys, key=repr)[:3],
+            },
+        )
+    for (f, g), h in comp.items():
+        if h not in mor:
+            raise CategoryMismatch(f"composite {h!r} not a morphism", witness=(f, g))
+        if mor[h] != (mor[f][0], mor[g][1]):
+            raise CategoryMismatch(
+                f"composite of {f!r}, {g!r} has wrong endpoints", witness=(f, g, h)
+            )
+    for f, (s, d) in mor.items():
+        if comp[(identity[s], f)] != f:
+            raise CategoryMismatch(
+                f"left identity law fails at {f!r}", witness=("left", f)
+            )
+        if comp[(f, identity[d])] != f:
+            raise CategoryMismatch(
+                f"right identity law fails at {f!r}", witness=("right", f)
+            )
+    witness = first_associativity_failure(mor, comp)
+    if witness is not None:
+        raise CategoryMismatch("associativity fails", witness=witness)
+
+
+def corrupt(tables, rng):
+    """A copy of (objects, morphisms, comp, identity) with one fault: a
+    composite replaced, an entry dropped, a key added, a morphism's ends
+    moved, or an identity changed."""
+    objects, morphisms, comp, identity = (
+        tables[0], dict(tables[1]), dict(tables[2]), dict(tables[3])
+    )
+    mors = list(morphisms)
+    # the entries of two morphisms whose composite is a morphism
+    keys = [k for k, h in comp.items() if isinstance(k, tuple) and len(k) == 2
+            and k[0] in morphisms and k[1] in morphisms
+            and isinstance(h, str | tuple) and h in morphisms]
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    kind = int(rng.integers(9))
+    if kind == 0:  # a composite replaced by another morphism, often one of its ends
+        key = pick(keys)
+        ends = (morphisms[key[0]][0], morphisms[key[1]][1])
+        same = [m for m in mors if morphisms[m] == ends]
+        comp[key] = pick(same if same and rng.random() < 0.7 else mors)
+    elif kind == 1:  # a composite that is no morphism, hashable or not
+        comp[pick(keys)] = pick(["nope", ("x", 0), [0]])
+    elif kind == 2:  # an entry missing
+        del comp[pick(keys)]
+    elif kind == 3:  # an extra key of two morphisms, composable or not
+        comp[(pick(mors), pick(mors))] = pick(mors)
+    elif kind == 4:  # a malformed key
+        f, g = pick(keys)
+        glued = f + g if isinstance(f, str) and isinstance(g, str) else "fg"
+        comp[pick(["x", (f,), (f, g, f), (f, "nope"), ("nope", g), glued])] = f
+    elif kind == 5:  # a morphism's ends moved, inside or outside the objects
+        f = pick(mors)
+        morphisms[f] = (pick(list(objects) + ["elsewhere"]), pick(objects))
+    elif kind == 6:  # a composite with an identity replaced: an identity law fault
+        units = set(identity.values())
+        key = pick([k for k in keys if units & set(k)] or keys)
+        comp[key] = pick([m for m in mors if morphisms[m] == morphisms[comp[key]]])
+    elif kind == 7:  # an identity that is another morphism, or none
+        identity[pick(objects)] = pick(mors + ["nope"])
+    else:  # an object listed twice
+        objects = objects + (pick(objects),)
+    return objects, morphisms, comp, identity
+
+
+def outcome(check, tables):
+    """None when check(*tables) passes, else the type, message and witness
+    of what it raises."""
+    try:
+        check(*tables)
+    except (CategoryMismatch, TypeError) as err:
+        return type(err), str(err), getattr(err, "witness", None)
+    return None
+
+
+@pytest.mark.parametrize("faults", [1, 2])
+def test_validate_matches_the_multi_pass_oracle(faults):
+    import numpy as np
+
+    rng = np.random.default_rng(faults)
+    messages = set()
+    # and one category whose morphism ids are letters, so that a string
+    # of two of them can stand where a pair belongs
+    z3 = monoid_category("eab", lambda x, y: "eab"[("eab".index(x) + "eab".index(y)) % 3])
+    for cat in [random_category(seed) for seed in range(40)] + [z3]:
+        tables = (cat.objects, cat.morphisms, cat.comp, cat.identity)
+        for _ in range(25):
+            bad = tables
+            for _ in range(faults):
+                bad = corrupt(bad, rng)
+            expected = outcome(validate_oracle, bad)
+            assert outcome(FinCategory, bad) == expected, (cat, bad)
+            messages.add(expected and expected[1].split(" ")[0])
+    # every check is reached: the domain, the composites (a TypeError for
+    # an unhashable one), the identities, the laws and associativity
+    assert {"composition", "composite", "unhashable", "identity", "left", "right",
+            "morphism", "duplicate", "associativity", None} <= messages
 
 
 def test_functor_validation():

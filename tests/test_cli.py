@@ -15,7 +15,7 @@ from floerkit import repvar
 from floerkit.cli import dispatch
 from floerkit.fieldfun import lens_chain, s1_x_s2_chain, sphere_chain
 from floerkit.groups import cyclic_group, symmetric_group
-from floerkit.quilt import cylinder_diagram
+from floerkit.quilt import cylinder_diagram, object_cylinder_diagram
 from floerkit.bordobjects import surface
 from floerkit.repvar import (
     VarietyCache,
@@ -138,6 +138,7 @@ def files(tmp_path_factory):
         "seam_labels": {s: diag_label for s in ("s1", "s2", "s3")},
     }
     end_order = diagram["ends"]["e0"]
+    torus = cache.variety(surface(1))
     auto = dehn_twist_a(1).to_json()
     return {
         "nonjson": str(nonjson),
@@ -225,6 +226,14 @@ def files(tmp_path_factory):
             "diagram_list_outgoing.json", diagram_with(outgoing=[0])
         ),
         "diagram_paired_twice": write("diagram_paired_twice.json", paired_twice),
+        # two bare ends, and two ends of one seam: one end label each
+        "bare_cylinder": write(
+            "bare_cylinder.json", fio.diagram_to_json(object_cylinder_diagram(torus))
+        ),
+        "seam_cylinder": write(
+            "seam_cylinder.json",
+            fio.diagram_to_json(cylinder_diagram([diagonal_relation(torus)])),
+        ),
     }
 
 
@@ -896,6 +905,23 @@ def test_seam_end_paired_twice_fails_quilt_validate(files):
     }]
 
 
+def test_gluing_a_bare_end_to_one_seam_is_a_cyclic_mismatch(files):
+    for first, second, counts in (
+        ("bare_cylinder", "seam_cylinder", (0, 1)),
+        ("seam_cylinder", "bare_cylinder", (1, 0)),
+    ):
+        code, out, err = run_captured([
+            "quilt-glue", "--group", files["s3"], "--first", files[first],
+            "--second", files[second], "--end", "e0",
+        ])
+        assert (code, err) == (1, "")
+        assert out == fio.dumps({
+            "error": "CyclicMismatch",
+            "message": f"end seam-end counts differ: {counts[0]} vs {counts[1]}",
+            "witness": repr(counts),
+        })
+
+
 FUZZ_VALUES = (None, 1, -1, "a", [], {}, [[0]])
 FUZZ_MUTANTS = 20
 
@@ -941,3 +967,71 @@ def test_mutated_input_files_never_escape_dispatch(files, tmp_path, argv):
             if code not in (0, 1, 2) or "Traceback" in err:
                 failures.append((name, mutant.read_text(), code, err))
     assert not failures
+
+
+def single_mutations(data, values):
+    """Every copy of ``data`` with one change: a key or item dropped, or a
+    value at any depth replaced by one of ``values``."""
+    if isinstance(data, (dict, list)):
+        keys = sorted(data) if isinstance(data, dict) else range(len(data))
+        for key in keys:
+            copy = dict(data) if isinstance(data, dict) else list(data)
+            del copy[key]
+            yield copy
+            for child in single_mutations(data[key], values):
+                copy = dict(data) if isinstance(data, dict) else list(data)
+                copy[key] = child
+                yield copy
+    yield from values
+
+
+def strings_in(data):
+    if isinstance(data, dict):
+        return {s for k, v in data.items() for s in strings_in(v) | {k}}
+    if isinstance(data, list):
+        return {s for v in data for s in strings_in(v)}
+    return {data} if isinstance(data, str) else set()
+
+
+@pytest.mark.parametrize(
+    "seed, laws", [(None, set()), (6, {"left", "right", "associativity"})]
+)
+def test_cat_validate_reports_each_mutation_as_the_oracle(tmp_path, monkeypatch, seed, laws):
+    """Each single mutation of a category file (the two-object chain, or a
+    random one-object category), with values from FUZZ_VALUES and from the
+    file's own strings: exit 0, 1 or 2, no traceback, and the stdout that
+    cat-validate prints when the multi-pass oracle validates."""
+    from test_cats import validate_oracle
+
+    from floerkit.catgen import random_category
+    from floerkit.cats import FinCategory
+
+    cat = random_category(seed) if seed is not None else poset_category(
+        lambda x, y: x <= y, (0, 1), name="two"
+    )
+    original = category_to_json(cat)
+    values = FUZZ_VALUES + tuple(sorted(strings_in(original)))
+    mutant = tmp_path / "mutant.json"
+    argv = ["cat-validate", "--category", str(mutant)]
+    validate = FinCategory.validate
+
+    def oracle(self):
+        validate_oracle(self.objects, self.morphisms, self.comp, self.identity)
+
+    reports, failures = set(), []
+    for data in single_mutations(original, values):
+        mutant.write_text(json.dumps(data))
+        monkeypatch.setattr(FinCategory, "validate", oracle)
+        expected = run_captured(argv)
+        monkeypatch.setattr(FinCategory, "validate", validate)
+        code, out, err = run_captured(argv)
+        if code not in (0, 1, 2) or "Traceback" in err or (code, out, err) != expected:
+            failures.append((data, expected, (code, out, err)))
+        report = json.loads(out)
+        reports.add(report.get("violation", report.get("message", "valid")).split()[0])
+    assert not failures
+    # the mutations reach every check of the file and of the tables; only
+    # a category with several parallel morphisms can break the laws
+    assert {"valid", "malformed", "duplicate", "morphism", "identity", "composition",
+            "composite"} | laws <= reports
+

@@ -26,8 +26,8 @@ from floerkit.bordism import (
     chain,
 )
 from floerkit.bordobjects import surface
-from floerkit.catgen import relation_bicategory
-from floerkit.cats import quotient_by_2isos, yoneda
+from floerkit.catgen import random_category, relation_bicategory
+from floerkit.cats import functor_category, quotient_by_2isos, yoneda
 from floerkit.fieldfun import PartialFunctorSpec, verify_cerf_compatibility
 from floerkit.groups import cyclic_group, symmetric_group
 from floerkit.io import diagram_from_json, diagram_to_json
@@ -170,6 +170,16 @@ def cerf_moves():
     assert cerf_connected(c1, c2, depth=4) is not None
 
 
+def functor_categories():
+    # the numbering of each target, the objects and squares of each source
+    # and the images of each functor are cached on them and must die with
+    # them; building S4 runs the same Light's test on its table
+    for seed in (0, 1, 9, 16):
+        cat = random_category(seed)
+        functor_category(cat, cat, functor_limit=12)
+    symmetric_group(4)
+
+
 # cli.dispatch is left out: io.dumps leaves one reference cycle per call,
 # because json.dumps(indent=1) runs the pure-Python encoder, whose nested
 # encoding functions refer to each other
@@ -185,6 +195,7 @@ LIBRARY_CALLS = {
     ),
     "repvariety": lambda: repvariety(S3, surface(2)),
     "cerf_neighbors+cerf_connected": cerf_moves,
+    "functor_category": functor_categories,
 }
 
 

@@ -292,6 +292,17 @@ def test_glue_mismatch_raises(rels):
         quilt_glue(c1, c2, "out")
 
 
+def test_glue_bare_end_to_one_seam_raises(rels):
+    # a bare end reads one unit label, as many as an end with one seam
+    M = rels["cache"].variety(surface(1))
+    bare, seamed = object_cylinder_diagram(M), cylinder_diagram([diagonal_relation(M)])
+    for first, second, counts in ((bare, seamed, (0, 1)), (seamed, bare, (1, 0))):
+        with pytest.raises(CyclicMismatch) as info:
+            quilt_glue(first, second, "in")
+        assert str(info.value) == f"end seam-end counts differ: {counts[0]} vs {counts[1]}"
+        assert info.value.witness == counts
+
+
 def test_glue_cap_into_frame_gives_zigzag(rels):
     Y = rels["Y"]
     zig = quilt_glue(cap_diagram(Y), snake_frame_diagram(Y), "aux")

@@ -44,33 +44,34 @@ def _first_nonassociative(src, dst, identities, table):
     """
     n = len(src)
     cells = [f for f in range(n) if f not in identities]
-    out_of, into, gens, products, made = {}, {}, [], [], bytearray(n)
+    out_of, into, made = {}, {}, bytearray(n)
+    gens, products = {}, {}  # generators by source, products by target
     for f in cells:
         out_of.setdefault(src[f], []).append(f)
         into.setdefault(dst[f], []).append(f)
     for a in cells:
         if not made[a]:  # a generator: close the products under it
-            gens.append(a)
-            todo = [a] + [table[x * n + a] for x in products if dst[x] == src[a]]
+            gens.setdefault(src[a], []).append(a)
+            todo = [a] + [table[x * n + a] for x in products.get(src[a], ())]
             while todo:
                 x = todo.pop()
                 if not made[x] and x not in identities:
                     made[x] = 1
-                    products.append(x)
-                    todo += [table[x * n + g] for g in gens if src[g] == dst[x]]
-    for a in gens:
-        ys = out_of.get(dst[a], ())
-        ays = [table[a * n + y] for y in ys]
+                    products.setdefault(dst[x], []).append(x)
+                    todo += [table[x * n + g] for g in gens.get(dst[x], ())]
+    for a in itertools.chain.from_iterable(gens.values()):
+        right = [(y, table[a * n + y]) for y in out_of.get(dst[a], ())]
         for x in into.get(src[a], ()):
             xa, xn = table[x * n + a] * n, x * n
-            if [table[xa + y] for y in ys] != [table[xn + ay] for ay in ays]:
-                return next(
-                    (f, g, h)
-                    for f in cells
-                    for g in out_of.get(dst[f], ())
-                    for h in out_of.get(dst[g], ())
-                    if table[table[f * n + g] * n + h] != table[f * n + table[g * n + h]]
-                )
+            for y, ay in right:
+                if table[xa + y] != table[xn + ay]:
+                    return next(
+                        (f, g, h)
+                        for f in cells
+                        for g in out_of.get(dst[f], ())
+                        for h in out_of.get(dst[g], ())
+                        if table[table[f * n + g] * n + h] != table[f * n + table[g * n + h]]
+                    )
     return None
 
 
@@ -87,27 +88,29 @@ def _numbered(objects, morphisms, comp):
     position = {f: i for i, f in enumerate(morphisms)}
     src = [at[s] for s, _ in morphisms.values()]
     dst = [at[d] for _, d in morphisms.values()]
-    n, table, bad, domain = len(position), {}, None, True
-    for key, h in comp.items():
-        i = j = -1
-        if isinstance(key, tuple) and len(key) == 2:
-            i, j = position.get(key[0], -1), position.get(key[1], -1)
-        if i < 0 or j < 0 or dst[i] != src[j]:
-            domain = False
-            break
-        try:
-            k = position.get(h, -1)
-        except TypeError:  # unhashable: raised again after the domain check
-            k = -1
-        if k >= 0 and src[k] == src[i] and dst[k] == dst[j]:
-            table[i * n + j] = k
-        elif bad is None:
-            bad = key
     starting = [[] for _ in objects]
     for f, s in enumerate(src):
         starting[s].append(f)
-    if domain and len(comp) == sum(len(starting[d]) for d in dst):
-        return position, src, dst, table, bad
+    n, table, bad = len(position), {}, None
+    try:
+        for key, h in comp.items():
+            f, g = key if isinstance(key, tuple) else ()
+            i, j = position[f], position[g]
+            if dst[i] != src[j]:
+                break
+            try:
+                k = position[h]
+            except (KeyError, TypeError):  # reported after the domain check
+                k = -1
+            if k >= 0 and src[k] == src[i] and dst[k] == dst[j]:
+                table[i * n + j] = k
+            elif bad is None:
+                bad = key
+        else:
+            if len(comp) == sum(len(starting[d]) for d in dst):
+                return position, src, dst, table, bad
+    except (KeyError, ValueError):  # a key that is not a pair of morphisms
+        pass
     ids = list(position)
     composable = {(ids[f], ids[g]) for f, d in enumerate(dst) for g in starting[d]}
     raise _domain_mismatch("composition table", comp, composable)

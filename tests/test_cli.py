@@ -26,11 +26,12 @@ from floerkit.repvar import (
     satisfies_relator,
 )
 from floerkit.bordism import canonical_circle
-from floerkit.catgen import poset_category
-from floerkit.cats import bicategory_with_identity_2cells
+from floerkit.catgen import poset_category, random_category
+from floerkit.cats import FinCategory, bicategory_with_identity_2cells
 from floerkit.io import bicategory_to_json, category_to_json
 from floerkit.relcat import generator_set
 from floerkit.words import dehn_twist_a
+from test_cats import validate_oracle  # the multi-pass FinCategory.validate
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1001,11 +1002,6 @@ def test_cat_validate_reports_each_mutation_as_the_oracle(tmp_path, monkeypatch,
     random one-object category), with values from FUZZ_VALUES and from the
     file's own strings: exit 0, 1 or 2, no traceback, and the stdout that
     cat-validate prints when the multi-pass oracle validates."""
-    from test_cats import validate_oracle
-
-    from floerkit.catgen import random_category
-    from floerkit.cats import FinCategory
-
     cat = random_category(seed) if seed is not None else poset_category(
         lambda x, y: x <= y, (0, 1), name="two"
     )
@@ -1013,7 +1009,6 @@ def test_cat_validate_reports_each_mutation_as_the_oracle(tmp_path, monkeypatch,
     values = FUZZ_VALUES + tuple(sorted(strings_in(original)))
     mutant = tmp_path / "mutant.json"
     argv = ["cat-validate", "--category", str(mutant)]
-    validate = FinCategory.validate
 
     def oracle(self):
         validate_oracle(self.objects, self.morphisms, self.comp, self.identity)
@@ -1021,9 +1016,9 @@ def test_cat_validate_reports_each_mutation_as_the_oracle(tmp_path, monkeypatch,
     reports, failures = set(), []
     for data in single_mutations(original, values):
         mutant.write_text(json.dumps(data))
-        monkeypatch.setattr(FinCategory, "validate", oracle)
-        expected = run_captured(argv)
-        monkeypatch.setattr(FinCategory, "validate", validate)
+        with monkeypatch.context() as patched:
+            patched.setattr(FinCategory, "validate", oracle)
+            expected = run_captured(argv)
         code, out, err = run_captured(argv)
         if code not in (0, 1, 2) or "Traceback" in err or (code, out, err) != expected:
             failures.append((data, expected, (code, out, err)))

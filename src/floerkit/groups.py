@@ -7,6 +7,14 @@ ints) and inverses, and precomputes the inverse table and the conjugacy
 class partition; everything downstream (representation varieties,
 relations, invariants) uses this class.
 
+The public tables ``mul``, ``inv`` and ``conj`` are read-only numpy
+arrays.  The hot kernels (``op``, ``inverse``, ``commutator``,
+``words.eval_word`` and the fiber walk of the relator enumeration) read
+private copies instead: ``_rows[a][b]`` and ``_inverse[a]``, tuples of
+Python ints, one int object per element, since a numpy scalar read costs
+several times a tuple read.  The numpy tables stay public until the
+benchmark workloads stop reading them as arrays.
+
 Elements are plain ``int`` indices.  Instances are immutable after
 construction and safe to share between worker processes.
 """
@@ -56,10 +64,17 @@ class FiniteGroup:
             )
             raise NoIdentity("element 0 is not a two-sided identity", witness=bad)
 
+        # rows of Python ints, built a row at a time: mapping through one
+        # list of the elements makes every entry share that element's int
+        # object (range(n).__getitem__ would make a new int above 256)
+        elements = list(range(n))
+        rows = tuple(tuple(map(elements.__getitem__, row.tolist())) for row in table)
         # the table as a one-object category with identity 0, read as a
-        # flat list of ints: a numpy scalar read costs ten times as much
+        # flat list of those ints: a numpy scalar read costs ten times as much
         ends = [0] * n
-        witness = _first_nonassociative(ends, ends, {0}, table.ravel().tolist())
+        witness = _first_nonassociative(
+            ends, ends, {0}, list(itertools.chain.from_iterable(rows))
+        )
         if witness is not None:
             a, b, c = witness
             raise NonAssociative(
@@ -77,6 +92,8 @@ class FiniteGroup:
         self.name = str(name)
         self.mul = table
         self.inv = inv
+        self._rows = rows
+        self._inverse = tuple(map(elements.__getitem__, inv.tolist()))
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 
@@ -125,10 +142,10 @@ class FiniteGroup:
     # -- basic operations --------------------------------------------
 
     def op(self, a, b):
-        return int(self.mul[a, b])
+        return self._rows[a][b]
 
     def inverse(self, a):
-        return int(self.inv[a])
+        return self._inverse[a]
 
     def conjugate(self, h, x):
         """h^-1 x h."""
@@ -136,8 +153,8 @@ class FiniteGroup:
 
     def commutator(self, a, b):
         """a b a^-1 b^-1."""
-        m = self.mul
-        return int(m[m[m[a, b], self.inv[a]], self.inv[b]])
+        rows, inv = self._rows, self._inverse
+        return rows[rows[rows[a][b]][inv[a]]][inv[b]]
 
     def elements(self):
         return range(self.order)

@@ -4,8 +4,11 @@ dependence on dict insertion order or worker count."""
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 
 from .bordism import (
     CAP0,
@@ -32,7 +35,96 @@ from .words import automorphism_from_json, identity_automorphism
 
 
 def dumps(data):
-    return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """The text of ``json.dumps(data, sort_keys=True, separators=(",", ": "),
+    indent=1)`` and a newline, byte for byte, with json's TypeError for a
+    value or key it cannot encode.
+
+    json writes indented output with nested encoding functions that refer
+    to each other, a reference cycle per call; this writer is module-level
+    functions over one list of chunks.  A list of plain ints, such as a
+    variety point, is written through one ``%d`` template.
+    """
+    out = []
+    _write(data, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, level, out):
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        _write_list(value, level, out)
+    elif isinstance(value, dict):
+        _write_dict(value, level, out)
+    else:
+        text = _scalar_text(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        out.append(text)
+
+
+def _scalar_text(value):
+    """json's text for None, a bool, an int or a float, as a value or a key;
+    None for anything else."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _int_row_template(length, level):
+    inner = "\n" + " " * (level + 1)
+    return "[" + inner + ("%d," + inner) * (length - 1) + "%d\n" + " " * level + "]"
+
+
+def _write_list(items, level, out):
+    if not items:
+        out.append("[]")
+    elif all(type(x) is int for x in items):  # bools are written as true/false
+        out.append(_int_row_template(len(items), level) % tuple(items))
+    else:
+        inner = "\n" + " " * (level + 1)
+        separator = "[" + inner
+        for value in items:
+            out.append(separator)
+            separator = "," + inner
+            _write(value, level + 1, out)
+        out.append("\n" + " " * level + "]")
+
+
+def _write_dict(mapping, level, out):
+    if not mapping:
+        out.append("{}")
+        return
+    inner = "\n" + " " * (level + 1)
+    separator = "{" + inner
+    for key, value in sorted(mapping.items()):
+        text = key if isinstance(key, str) else _scalar_text(key)
+        if text is None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        out.append(separator)
+        separator = "," + inner
+        out.append(encode_basestring_ascii(text))
+        out.append(": ")
+        _write(value, level + 1, out)
+    out.append("\n" + " " * level + "}")
 
 
 def load_json(path):

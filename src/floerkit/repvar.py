@@ -16,7 +16,9 @@ that ``least_first_handles`` keeps, the pairs that are least in their own
 conjugation orbit (orderly generation cut at the first handle): the
 variety canonicalises those slices, and the 2-handle relation, whose pairs
 are conjugation invariant, reads the slices A_1 = e with B_1 a class
-minimum.
+minimum.  Those slices and their target points do not depend on the
+attaching circle: ``VarietyCache.attach_slice`` enumerates them once per
+genus, and each circle only maps them to its source points.
 
 ``canonical_point`` picks the least tuple of an orbit without trying all
 |G| conjugators: the group lists, per pair (x, y), the conjugators that
@@ -127,16 +129,15 @@ def enumerate_relator_solutions(group, genus, budget=None, first=None):
     fibers = {}  # fibers[c] = sorted list of pairs (a, b) with [a, b] = c
     for pair, c in entries:
         fibers.setdefault(c, []).append(pair)
-    inv = group.inv
-    mul = group.mul
+    rows, inv = group._rows, group._inverse
     in_fiber_order = [(pair, c) for c, pairs in fibers.items() for pair in pairs]
     for head, commutator in first:
         for middle in itertools.product(in_fiber_order, repeat=genus - 2):
             tup, acc = head, commutator
             for pair, c in middle:
                 tup += pair
-                acc = int(mul[acc, c])
-            for pair in fibers.get(int(inv[acc]), ()):
+                acc = rows[acc][c]
+            for pair in fibers.get(inv[acc], ()):
                 yield tup + pair
 
 
@@ -323,6 +324,7 @@ class VarietyCache:
         self.workers = workers
         self._varieties = {}
         self._relations = {}  # step.syntactic_key() -> FiniteRelation
+        self._attach_slices = {}  # genus -> attach_slice(genus)
 
     def variety(self, obj):
         if obj not in self._varieties:
@@ -330,6 +332,28 @@ class VarietyCache:
                 self.group, obj, budget=self.budget, workers=self.workers
             )
         return self._varieties[obj]
+
+    def attach_slice(self, genus):
+        """(sigma, target point) for every solution sigma of the genus-g
+        relator with A_1 = e and B_1 a class minimum, in enumeration order.
+
+        The target point is the stored point of ``canonical_point(sigma[2:])``
+        in the genus g-1 variety.  Neither depends on the attaching circle,
+        so every 2-handle relation of this genus reads one list; it is
+        enumerated under the cache's budget, and a refusal stores nothing.
+        """
+        if genus not in self._attach_slices:
+            group = self.group
+            stored = self.variety(surface(genus - 1)).stored
+            a1_is_e = [entry for entry in least_first_handles(group) if entry[0][0] == 0]
+            found = []
+            for sigma in enumerate_relator_solutions(
+                group, genus, budget=self.budget, first=a1_is_e
+            ):
+                y = canonical_point(group, sigma[2:])
+                found.append((sigma, stored.get(y, y)))
+            self._attach_slices[genus] = found
+        return self._attach_slices[genus]
 
 
 def relation_of_cyl(group, phi, cache=None):
@@ -363,24 +387,21 @@ def relation_of_attach2(group, circle, cache=None):
     the target point is the restriction (sigma(a_i), sigma(b_i)) for i >= 2
     in the pushed-forward standard basis.  Conjugating sigma leaves its pair
     of canonical points unchanged, so sigma(b_1) runs over the class minima
-    only: the entries of ``least_first_handles`` with A_1 = e.
+    only: the entries of ``least_first_handles`` with A_1 = e.  The sigmas
+    and their target points do not depend on the circle, so they come from
+    ``cache.attach_slice``, built once per genus; only the source points
+    are computed here.
     """
     cache = cache or VarietyCache(group)
     g = circle.genus
-    psi = circle.psi
+    words = circle.psi.inverse_images
     src = cache.variety(surface(g))
     dst = cache.variety(surface(g - 1))
-    src_stored, dst_stored = src.stored, dst.stored
+    src_stored = src.stored
     pairs = set()
-    a1_is_e = [entry for entry in least_first_handles(group) if entry[0][0] == 0]
-    for sigma in enumerate_relator_solutions(
-        group, g, budget=cache.budget, first=a1_is_e
-    ):
-        x = canonical_point(
-            group, tuple(eval_word(w, sigma, group) for w in psi.inverse_images)
-        )
-        y = canonical_point(group, sigma[2:])
-        pairs.add((src_stored.get(x, x), dst_stored.get(y, y)))
+    for sigma, y in cache.attach_slice(g):
+        x = canonical_point(group, tuple(eval_word(w, sigma, group) for w in words))
+        pairs.add((src_stored.get(x, x), y))
     return FiniteRelation(src, dst, frozenset(pairs))
 
 

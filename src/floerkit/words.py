@@ -72,15 +72,14 @@ def eval_word(letters, assignment, group):
     """Evaluate a word at an assignment of group elements to generators.
 
     ``assignment[k-1]`` is the image of generator k; exponent -1 uses the
-    group inverse.
+    group inverse.  Reads the group's int rows, not its numpy table.
     """
-    mul = group.mul
-    inv = group.inv
+    rows = group._rows
+    inv = group._inverse
     acc = 0
     for x in letters:
-        g = assignment[x - 1] if x > 0 else inv[assignment[-x - 1]]
-        acc = mul[acc, g]
-    return int(acc)
+        acc = rows[acc][assignment[x - 1] if x > 0 else inv[assignment[-x - 1]]]
+    return acc
 
 
 def substitute(letters, images):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from floerkit.groups import (
     quaternion_group,
     symmetric_group,
 )
+from floerkit.words import eval_word
 
 
 def brute_conjugacy_classes(g):
@@ -200,3 +203,50 @@ def test_dihedral_3_is_s3_shape():
     g = dihedral_group(3)
     assert g.order == 6
     assert len(g.conjugacy_classes) == 3
+
+
+def relabelled(group, seed):
+    """``group`` under a random relabelling that moves the identity, loaded
+    through ``group_load``, which puts it back at 0."""
+    perm = np.random.default_rng(seed).permutation(group.order)
+    table = np.empty_like(group.mul)
+    table[np.ix_(perm, perm)] = perm[group.mul]
+    assert perm[0] != 0  # the identity moves
+    return group_load(table.tolist(), name="relabelled")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: symmetric_group(4), quaternion_group, lambda: dihedral_group(6),
+     lambda: relabelled(dihedral_group(4), 3)],
+    ids=["S4", "Q8", "D6", "relabelled D4"],
+)
+def test_int_tables_match_the_numpy_tables(make):
+    g = make()
+    mul, inv = g.mul, g.inv
+    for a in g.elements():
+        assert type(g.inverse(a)) is int and g.inverse(a) == int(inv[a])
+        for b in g.elements():
+            assert type(g.op(a, b)) is int and g.op(a, b) == int(mul[a, b])
+            assert g.commutator(a, b) == int(mul[mul[mul[a, b], inv[a]], inv[b]])
+    rng = random.Random(g.order)
+    for _ in range(500):
+        assignment = tuple(rng.randrange(g.order) for _ in range(rng.randint(1, 4)))
+        word = tuple(
+            rng.choice((1, -1)) * rng.randint(1, len(assignment))
+            for _ in range(rng.randint(0, 12))
+        )
+        expected = 0
+        for x in word:
+            letter = assignment[x - 1] if x > 0 else inv[assignment[-x - 1]]
+            expected = int(mul[expected, letter])
+        assert eval_word(word, assignment, g) == expected
+
+
+def test_int_rows_share_one_int_per_element():
+    # above 256 Python makes a new int per conversion; the rows must not
+    g = cyclic_group(300)
+    elements = g._rows[0]
+    assert elements == tuple(range(300))
+    assert all(x is elements[x] for row in g._rows for x in row)
+    assert all(x is elements[x] for x in g._inverse)

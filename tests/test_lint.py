@@ -10,6 +10,8 @@ collection, so peak memory follows the collector's timing.
 
 import ast
 import gc
+import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -28,9 +30,10 @@ from floerkit.bordism import (
 from floerkit.bordobjects import surface
 from floerkit.catgen import random_category, relation_bicategory
 from floerkit.cats import functor_category, quotient_by_2isos, yoneda
-from floerkit.fieldfun import PartialFunctorSpec, verify_cerf_compatibility
+from floerkit.cli import dispatch
+from floerkit.fieldfun import PartialFunctorSpec, genus2_sphere_chain, verify_cerf_compatibility
 from floerkit.groups import cyclic_group, symmetric_group
-from floerkit.io import diagram_from_json, diagram_to_json
+from floerkit.io import chain_to_json, diagram_from_json, diagram_to_json
 from floerkit.quilt import (
     QuiltDiagram,
     QuiltSurface,
@@ -180,9 +183,21 @@ def functor_categories():
     symmetric_group(4)
 
 
-# cli.dispatch is left out: io.dumps leaves one reference cycle per call,
-# because json.dumps(indent=1) runs the pure-Python encoder, whose nested
-# encoding functions refer to each other
+def commands_with_output():
+    # a variety and a genus-2 invariant, each written by io.dumps to a file
+    with tempfile.TemporaryDirectory() as tmp:
+        group = Path(tmp, "s3.json")
+        group.write_text(json.dumps(S3.to_json()))
+        closed = Path(tmp, "chain.json")
+        closed.write_text(json.dumps(chain_to_json(genus2_sphere_chain())))
+        out = str(Path(tmp, "out.json"))
+        assert dispatch(["repvar", "--group", str(group), "--genus", "2", "--output", out]) == 0
+        assert dispatch(
+            ["invariant", "--group", str(group), "--chain", str(closed), "--output", out]
+        ) == 0
+        assert json.loads(Path(out).read_text())["count"] == 1
+
+
 LIBRARY_CALLS = {
     "zigzag": zigzag,
     "quilt_evaluate+evaluation_map": repeated_evaluation,
@@ -196,6 +211,7 @@ LIBRARY_CALLS = {
     "repvariety": lambda: repvariety(S3, surface(2)),
     "cerf_neighbors+cerf_connected": cerf_moves,
     "functor_category": functor_categories,
+    "cli.dispatch": commands_with_output,
 }
 
 

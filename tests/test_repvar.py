@@ -38,6 +38,7 @@ from floerkit.words import (
     crossing_transport,
     dehn_twist_a,
     dehn_twist_b,
+    handle_swap,
     identity_automorphism,
     s_move,
 )
@@ -451,6 +452,73 @@ def test_attach1_reuses_the_attach2_entry(monkeypatch):
     assert relation_of_simple(S3, attach2(c), cache) is r2
     assert relation_of_simple(S3, attach1(c), cache) is r1
     assert len(builds) == 1
+
+
+def library_circles(genus):
+    """Each library transport, and its crossing and handle-swap transports."""
+    psis = builtin_library(genus)
+    moved = [crossing_transport(genus, 1)] + ([handle_swap(genus, 1, 2)] if genus >= 2 else [])
+    return [AttachingCircle(genus, psi) for psi in psis] + [
+        AttachingCircle(genus, move.then(psi)) for move in moved for psi in psis
+    ]
+
+
+def test_the_attach_slice_is_enumerated_once_per_genus(monkeypatch):
+    cache, other = VarietyCache(S3), VarietyCache(S3)
+    for g in (0, 1, 2):
+        cache.variety(surface(g))
+        other.variety(surface(g))
+    enumerations = count_calls(monkeypatch, "enumerate_relator_solutions")
+    for g in (1, 2):
+        for c in library_circles(g):
+            relation_of_attach2(S3, c, cache)
+    assert [args[1] for args in enumerations] == [1, 2]
+    # a second cache enumerates its own slices
+    relation_of_attach2(S3, canonical_circle(1), other)
+    assert [args[1] for args in enumerations] == [1, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "group, genus, count",
+    [(G, g, None) for G in (Z3, S3, Q8, D6) for g in (1, 2)] + [(Z3, 3, None), (Q8, 3, 7)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_attach_relations_from_the_slice_match_a_fresh_cache_and_the_direct_route(
+    group, genus, count
+):
+    # one cache in shuffled order, a second in library order, and the
+    # defining property: the slice must not depend on which circle built it.
+    # Q8 at genus 3 takes the library circles only: the direct route
+    # enumerates all 133,120 solutions once per circle.
+    circles = library_circles(genus)[:count]
+    shuffled = circles[:]
+    random.Random(genus * 97 + group.order).shuffle(shuffled)
+    shared = VarietyCache(group)
+    built = {c: relation_of_attach2(group, c, shared) for c in shuffled}
+    fresh = VarietyCache(group)
+    for c in circles:
+        assert built[c] == relation_of_attach2(group, c, fresh)
+        assert built[c] == relation_of_attach2_direct(group, c, shared)
+
+
+def test_a_budgeted_cache_refuses_the_same_way_before_and_after_its_slices():
+    def refusal(call):
+        with pytest.raises(ResourceLimit) as err:
+            call()
+        return str(err.value), err.value.witness
+
+    cache = VarietyCache(S3, budget=6 ** 4)  # genus 2 fits, genus 3 does not
+    before = refusal(lambda: relation_of_attach2(S3, canonical_circle(3), cache))
+    assert before == refusal(lambda: cache.attach_slice(3))
+    for g in (1, 2):
+        relation_of_attach2(S3, canonical_circle(g), cache)
+        assert cache.attach_slice(g)
+    after = refusal(lambda: relation_of_attach2(S3, canonical_circle(3), cache))
+    assert before == after == refusal(lambda: cache.attach_slice(3))
+    assert before == (
+        "|G|^(2g) = 46656 exceeds budget 1296",
+        {"order": 6, "genus": 3, "budget": 1296},
+    )
 
 
 def test_relations_pair_the_stored_point_tuples():

@@ -568,21 +568,26 @@ def _resurface(
     error,
     message,
 ):
-    """The diagram left by a surgery (gluing or strip shrinking).
+    """The diagram left by a surgery: gluing, strip shrinking or annulus
+    shrinking.
 
     Faces are traced afresh on the new ends and seams.  Each face takes the
     label of the old patch of its first half-edge (``old_patch_of_half``),
-    and that old patch id is renamed to the face id; a seamless sphere
-    takes any label.  Circle regions keep their ids, and circle seams and
-    bare ends (given with old patch ids) follow the renaming.  Raises
-    ``error(message)`` with the validation report when the result is
-    invalid.
+    and that old patch id is renamed to the face id.  A seamless sphere's
+    face f0 keeps the old f0 when there is one (an annulus shrink keeps
+    every face id), else takes the first patch.  Circle regions keep their
+    ids, and circle seams and bare ends (given with old patch ids) follow
+    the renaming.  Raises ``error(message)`` with the validation report as
+    its witness when the result is invalid.
     """
     faces = QuiltSurface(ends, outgoing, seams).core_data()["faces"]
     labels = {}
     rename = {}
     for fid, orbit in faces.items():
-        old = old_patch_of_half[orbit[0]] if orbit else next(iter(patch_labels))
+        if orbit:
+            old = old_patch_of_half[orbit[0]]
+        else:
+            old = "f0" if "f0" in patch_labels else next(iter(patch_labels))
         labels[fid] = patch_labels[old]
         rename[old] = fid
     for p, lab in patch_labels.items():
@@ -598,12 +603,7 @@ def _resurface(
         },
         end_patch={e: rename.get(p, p) for e, p in end_patch.items()},
     )
-    return _valid_or_raise(QuiltDiagram(surface, labels, seam_labels), error, message)
-
-
-def _valid_or_raise(q: QuiltDiagram, error, message):
-    """q itself when it validates; else ``error(message)`` carrying the
-    validation report as its witness."""
+    q = QuiltDiagram(surface, labels, seam_labels)
     report = q.validate()
     if any(entry["status"] == "fail" for entry in report):
         raise error(message, witness=report)
@@ -656,10 +656,13 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
             witness={"position": first_bad, "left": repr(labels1), "right": repr(labels2)},
         )
 
-    # per side tag ("L" or "R" on every id): the diagram and its traced record
-    sides = {"L": (q1, s1.data()), "R": (q2, s2.data())}
+    # per side tag ("L" or "R" on every id): the diagram, its traced record
+    # and its glued end
+    sides = {"L": (q1, s1.data(), s1.outgoing), "R": (q2, s2.data(), e)}
 
-    # node-patch identification along the glued ends
+    # node-patch identification along the glued ends; the rotation match
+    # compared the objects of every pair joined here, so each class carries
+    # one object
     ident = {}  # tagged patch -> representative tagged patch
 
     def find(x):
@@ -685,90 +688,68 @@ def quilt_glue(q1: QuiltDiagram, q2: QuiltDiagram, e):
     # seam pairing across both sides
     alpha = {
         (side, h): (side, h2)
-        for side, (_, data) in sides.items()
+        for side, (_, data, _) in sides.items()
         for h, h2 in data["alpha"].items()
     }
 
     # the ends that stay, and the patches of the bare ones among them
     new_ends = {}
     end_patch = {}
-    for side, s_obj, glued in (("L", s1, s1.outgoing), ("R", s2, e)):
-        for end_id, order in s_obj.ends.items():
+    for side, (q, _, glued) in sides.items():
+        for end_id, order in q.surface.ends.items():
             if end_id == glued:
                 continue
             new_ends[(side, end_id)] = tuple((side, h) for h in order)
             if not order:
-                end_patch[(side, end_id)] = find((side, s_obj.end_patch[end_id]))
+                end_patch[(side, end_id)] = find((side, q.surface.end_patch[end_id]))
 
+    # one walk along alpha across the junction from each seam-end not yet
+    # met, surviving ones first.  A seam-end has one alpha partner and at
+    # most one junction partner, so a walk from a surviving seam-end ends on
+    # another and welds an interval seam; a junction seam-end left over lies
+    # on matched loops that close into a curve, a circle seam between the
+    # regions beside it.
     surviving = {h for order in new_ends.values() for h in order}
     new_seams = {}
-    new_labels = {}
+    circle_seams = {}
+    seam_labels = {}
     visited = set()
     idx = 0
-    for h in sorted(surviving, key=repr):
+    for h in sorted(surviving, key=repr) + sorted(junction, key=repr):
         if h in visited:
             continue
-        # follow alpha across junctions until landing on a surviving half-edge
-        cur = alpha[h]
-        while cur not in surviving:
-            visited.add(cur)
-            visited.add(junction[cur])
+        cur = h if h in junction else alpha[h]
+        while cur in junction and cur not in visited:
+            visited.update((cur, junction[cur]))
             cur = alpha[junction[cur]]
-        if cur == h and h in visited:
-            continue
-        sid = ("s", idx)
-        idx += 1
-        new_seams[sid] = (h, cur)
-        visited.add(h)
-        visited.add(cur)
+        visited.update((h, cur))
         side, raw = cur
-        q, data = sides[side]
-        new_labels[sid] = q.label(*data["into"][raw])
-
-    # matched loops can weld into closed curves that touch no surviving
-    # seam-end; those become circle seams between the adjacent regions
-    circle_seams = {}
-    circle_labels = {}
-    for h in sorted(junction, key=repr):
-        if h in visited:
-            continue
-        cur = h
-        while cur not in visited:
-            visited.add(cur)
-            visited.add(junction[cur])
-            cur = alpha[junction[cur]]
-        side, raw = h
-        q, data = sides[side]
-        seam_id = data["into"][raw][0]
-        cid = ("wc", idx)
+        q, data, _ = sides[side]
+        seam_id, direction = data["into"][raw]
+        if cur in junction:
+            sid = ("wc", idx)
+            circle_seams[sid] = tuple(find((side, p)) for p in q.surface.seam_sides(seam_id))
+            seam_labels[sid] = q.seam_labels[seam_id]
+        else:
+            sid = ("s", idx)
+            new_seams[sid] = (h, cur)
+            seam_labels[sid] = q.label(seam_id, direction)
         idx += 1
-        circle_seams[cid] = tuple(find((side, p)) for p in q.surface.seam_sides(seam_id))
-        circle_labels[cid] = q.seam_labels[seam_id]
 
     # patch labels and circle seams through the identification
     patch_labels = {}
-    for p, lab in q1.patch_labels.items():
-        patch_labels[find(("L", p))] = lab
-    for p, lab in q2.patch_labels.items():
-        rep = find(("R", p))
-        if rep in patch_labels and patch_labels[rep] != lab:
-            raise LabelMismatch(
-                "glued patches carry different objects", witness=(p, repr(lab))
-            )
-        patch_labels[rep] = lab
-
-    for side, (q, _) in sides.items():
+    for side, (q, _, _) in sides.items():
+        for p, lab in q.patch_labels.items():
+            patch_labels[find((side, p))] = lab
         for cid, (pm, pp) in q.surface.circle_seams.items():
             circle_seams[(side, cid)] = (find((side, pm)), find((side, pp)))
-            circle_labels[(side, cid)] = q.seam_labels[cid]
+            seam_labels[(side, cid)] = q.seam_labels[cid]
 
     # the traced faces of the glued surface are unions of old patches
     old_patch_of_half = {
         (side, raw): find((side, sides[side][1]["face_of"][raw]))
         for side, raw in surviving
     }
-    seam_labels = dict(new_labels)
-    seam_labels.update(circle_labels)
     out = _resurface(
         new_ends,
         ("R", s2.outgoing),
@@ -793,10 +774,16 @@ def shrink_strip(q: QuiltDiagram, p):
     """Remove a two-seam strip or annulus patch, merging its boundary
     seams into one labeled with the (embedded) geometric composition.
     Removing a strip retraces the faces, so the other patches may be
-    renamed; circle seams and bare ends follow them."""
+    renamed; circle seams and bare ends follow them.  An annulus leaves
+    the ends and interval seams as they are, so the faces keep their ids."""
     surface = q.surface
     data = surface.data()
+    ends, seams, circles = surface.ends, surface.seams, surface.circle_seams
+    touching = sorted((c for c, sides in circles.items() if p in sides), key=repr)
+    # each branch picks the seams read into p and out of p, as (seam,
+    # direction), and puts the merged seam in their place
     if p in data["faces"]:
+        kind = "strip"
         orbit = data["faces"][p]
         if len(orbit) != 2:
             raise NotAStrip(
@@ -809,89 +796,47 @@ def shrink_strip(q: QuiltDiagram, p):
             raise NotAStrip(
                 f"patch {p!r} is bounded by one seam on both sides", witness=p
             )
-        if any(surface.end_patch.get(e) == p for e in surface.ends):
-            raise NotAStrip(f"patch {p!r} carries a bare end", witness=p)
-        if any(p in sides for sides in surface.circle_seams.values()):
-            raise NotAStrip(f"patch {p!r} touches circle seams", witness=p)
+        # crossing from face(x) through the strip to face(y): the seam into
+        # h1 runs p -> face(x), so it is read the other way
         x, y = data["alpha"][h1], data["alpha"][h2]
-        # crossing label from face(x) through the strip to face(y):
-        # into h1 runs p -> face(x), so transpose; into h2 runs p -> face(y)
-        lab_in = q.label(s_a, d_a).transpose()
-        lab_out = q.label(s_b, d_b)
-        composed, witness = _join(lab_in, lab_out)
-        if witness is not None:
-            raise NotEmbedded(
-                "strip labels do not compose embeddedly", witness=witness
+        read_in, read_out = (s_a, -d_a), (s_b, d_b)
+        merged = ("merge", s_a, s_b)
+        ends = {e: tuple(h for h in order if h not in orbit) for e, order in ends.items()}
+        seams = {s: pair for s, pair in seams.items() if s not in (s_a, s_b)}
+        seams[merged] = (y, x)
+    else:
+        kind = "annulus"
+        if len(touching) != 2:
+            raise NotAStrip(
+                f"patch {p!r} touches {len(touching)} circle seams, need 2", witness=p
             )
-
-        new_ends = {}
-        for e, order in surface.ends.items():
-            new_ends[e] = tuple(h for h in order if h not in (h1, h2))
-        new_seams = {
-            s: pair for s, pair in surface.seams.items() if s not in (s_a, s_b)
-        }
-        sid = ("merge", s_a, s_b)
-        new_seams[sid] = (y, x)
-        seam_labels = {
-            s: lab for s, lab in q.seam_labels.items() if s not in (s_a, s_b)
-        }
-        seam_labels[sid] = composed
-        return _resurface(
-            new_ends,
-            surface.outgoing,
-            new_seams,
-            surface.circle_seams,
-            surface.end_patch,
-            {k: v for k, v in q.patch_labels.items() if k != p},
-            seam_labels,
-            data["face_of"],
-            NotAStrip,
-            "shrinking produced an invalid diagram",
-        )
-
-    # annulus bounded by two circle seams
-    touching = [
-        cid for cid, sides in surface.circle_seams.items() if p in sides
-    ]
-    if len(touching) != 2:
-        raise NotAStrip(
-            f"patch {p!r} touches {len(touching)} circle seams, need 2", witness=p
-        )
+        c1, c2 = touching
+        (pm1, pp1), (pm2, pp2) = circles[c1], circles[c2]
+        read_in, read_out = (c1, 1 if pp1 == p else -1), (c2, 1 if pm2 == p else -1)
+        merged = ("merge", c1, c2)
+        circles = {c: sides for c, sides in circles.items() if c not in (c1, c2)}
+        circles[merged] = (pm1 if pp1 == p else pp1, pp2 if pm2 == p else pm2)
     if any(surface.end_patch.get(e) == p for e in surface.ends):
         raise NotAStrip(f"patch {p!r} carries a bare end", witness=p)
-    c1, c2 = sorted(touching, key=repr)
-    lab1 = q.seam_labels[c1]
-    pm1, pp1 = surface.circle_seams[c1]
-    if pp1 != p:
-        lab1 = lab1.transpose()
-        pm1, pp1 = pp1, pm1
-    lab2 = q.seam_labels[c2]
-    pm2, pp2 = surface.circle_seams[c2]
-    if pm2 != p:
-        lab2 = lab2.transpose()
-        pm2, pp2 = pp2, pm2
-    composed, witness = _join(lab1, lab2)
+    if kind == "strip" and touching:
+        raise NotAStrip(f"patch {p!r} touches circle seams", witness=p)
+    composed, witness = _join(q.label(*read_in), q.label(*read_out))
     if witness is not None:
-        raise NotEmbedded("annulus labels do not compose embeddedly", witness=witness)
-    cid = ("merge", c1, c2)
-    circles = {
-        c: sides for c, sides in surface.circle_seams.items() if c not in (c1, c2)
-    }
-    circles[cid] = (pm1, pp2)
-    new_surface = QuiltSurface(
-        dict(surface.ends),
+        raise NotEmbedded(f"{kind} labels do not compose embeddedly", witness=witness)
+    seam_labels = {s: lab for s, lab in q.seam_labels.items() if s not in merged[1:]}
+    seam_labels[merged] = composed
+    return _resurface(
+        ends,
         surface.outgoing,
-        dict(surface.seams),
-        circle_seams=circles,
-        end_patch=dict(surface.end_patch),
+        seams,
+        circles,
+        surface.end_patch,
+        {k: v for k, v in q.patch_labels.items() if k != p},
+        seam_labels,
+        data["face_of"],
+        NotAStrip,
+        "shrinking produced an invalid diagram",
     )
-    patch_labels = {k: v for k, v in q.patch_labels.items() if k != p}
-    seam_labels = {
-        s: lab for s, lab in q.seam_labels.items() if s not in (c1, c2)
-    }
-    seam_labels[cid] = composed
-    out = QuiltDiagram(new_surface, patch_labels, seam_labels)
-    return _valid_or_raise(out, NotAStrip, "shrinking produced an invalid diagram")
 
 
 # -- canonical diagram constructors ----------------------------------------------

@@ -214,9 +214,11 @@ class SurfaceAutomorphism:
     """An automorphism of the genus-g surface group, with explicit inverse.
 
     ``images[k-1]`` is the image word of generator k; ``inverse_images``
-    gives the inverse automorphism.  Construction validates that the
+    gives the inverse automorphism.  The constructor validates that the
     relator is preserved up to conjugacy (orientation preserving) and
-    that the two substitutions invert each other in the surface group.
+    that the two substitutions invert each other in the surface group;
+    ``then`` and ``inverse`` build their results from validated ones
+    without a second check.
     """
 
     genus: int
@@ -225,6 +227,11 @@ class SurfaceAutomorphism:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        self._reduce()
+        validate_automorphism(self)
+
+    def _reduce(self):
+        """Freely reduce the image words and check that there are 2g."""
         g = self.genus
         imgs = tuple(reduce_word(w) for w in self.images)
         invs = tuple(reduce_word(w) for w in self.inverse_images)
@@ -234,7 +241,18 @@ class SurfaceAutomorphism:
             raise GenusMismatch(
                 f"need 2g={2 * g} image words, got {len(imgs)}/{len(invs)}"
             )
-        validate_automorphism(self)
+
+    @classmethod
+    def _composite(cls, genus, images, inverse_images, name):
+        """A composite or inverse of validated automorphisms, which is an
+        automorphism with the given inverse by construction: its words are
+        reduced and counted, not validated again."""
+        phi = object.__new__(cls)
+        phi.__dict__.update(
+            genus=genus, images=images, inverse_images=inverse_images, name=name
+        )
+        phi._reduce()
+        return phi
 
     def apply(self, letters):
         """Apply to a raw word (substitution by image words)."""
@@ -256,11 +274,13 @@ class SurfaceAutomorphism:
         name = ""
         if self.name and other.name:
             name = f"{self.name};{other.name}"
-        return SurfaceAutomorphism(self.genus, imgs, invs, name=name)
+        return SurfaceAutomorphism._composite(self.genus, imgs, invs, name)
 
     def inverse(self) -> "SurfaceAutomorphism":
         name = f"~{self.name}" if self.name else ""
-        return SurfaceAutomorphism(self.genus, self.inverse_images, self.images, name=name)
+        return SurfaceAutomorphism._composite(
+            self.genus, self.inverse_images, self.images, name
+        )
 
     def is_identity(self):
         return all(

@@ -15,7 +15,12 @@ from floerkit import repvar
 from floerkit.cli import dispatch
 from floerkit.fieldfun import lens_chain, s1_x_s2_chain, sphere_chain
 from floerkit.groups import cyclic_group, symmetric_group
-from floerkit.quilt import cylinder_diagram, object_cylinder_diagram
+from floerkit.quilt import (
+    QuiltDiagram,
+    QuiltSurface,
+    cylinder_diagram,
+    object_cylinder_diagram,
+)
 from floerkit.bordobjects import surface
 from floerkit.repvar import (
     VarietyCache,
@@ -235,6 +240,19 @@ def files(tmp_path_factory):
             "seam_cylinder.json",
             fio.diagram_to_json(cylinder_diagram([diagonal_relation(torus)])),
         ),
+        # the one-vertex torus with its end outgoing, and with that end
+        # incoming beside a bare outgoing end
+        **{
+            name: write(f"{name}.json", fio.diagram_to_json(QuiltDiagram(
+                QuiltSurface(ends, "out", {"A": ("a", "c"), "B": ("b", "d")}, end_patch=bare),
+                {"f0": torus},
+                {"A": diagonal_relation(torus), "B": diagonal_relation(torus)},
+            )))
+            for name, ends, bare in (
+                ("torus_out", {"out": ("a", "b", "c", "d")}, {}),
+                ("torus_in", {"in": ("a", "b", "c", "d"), "out": ()}, {"out": "f0"}),
+            )
+        },
     }
 
 
@@ -921,6 +939,21 @@ def test_gluing_a_bare_end_to_one_seam_is_a_cyclic_mismatch(files):
             "message": f"end seam-end counts differ: {counts[0]} vs {counts[1]}",
             "witness": repr(counts),
         })
+
+
+def test_gluing_into_a_torus_reports_the_invalid_diagram(files):
+    # the welded seams are closed curves that do not separate, so the
+    # glued diagram fails its circle-seam check: exit 1 and the report
+    code, out, err = run_captured([
+        "quilt-glue", "--group", files["s3"], "--first", files["torus_out"],
+        "--second", files["torus_in"], "--end", "e0",
+    ])
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["error"] == "CyclicMismatch"
+    assert payload["message"] == "gluing produced an invalid diagram"
+    assert "circle seams form trees of regions inside faces" in payload["witness"]
+    assert payload["witness"].count("'fail'") == 1
 
 
 FUZZ_VALUES = (None, 1, -1, "a", [], {}, [[0]])

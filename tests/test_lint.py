@@ -52,6 +52,7 @@ from floerkit.quilt import (
 from floerkit.relcat import generator_set
 from floerkit.repvar import VarietyCache, relation_of_attach2, relation_of_cyl, repvariety
 from floerkit.words import dehn_twist_a
+from test_quilt import _bubble_pair  # two diagrams whose gluing welds a circle seam
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "floerkit").glob("*.py"))
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -108,7 +109,8 @@ def repeated_evaluation():
 
 def glue_and_shrink():
     # a three-seam cylinder glued onto itself; every strip of the result
-    # shrinks embeddedly
+    # shrinks embeddedly.  Then an annulus whose patch labels start from
+    # its core, and two matched loops welded into a circle seam
     cache = VarietyCache(S3)
     Y = relation_of_attach2(S3, canonical_circle(1), cache)
     G = relation_of_cyl(S3, dehn_twist_a(1), cache)
@@ -116,6 +118,20 @@ def glue_and_shrink():
     glued = quilt_glue(cylinder, cylinder, "in")
     for p in glued.surface.data()["patches"]:
         assert shrink_strip(glued, p).is_valid()
+    M = cache.variety(surface(1))
+    annulus = QuiltDiagram(
+        QuiltSurface(
+            {"out": ()},
+            "out",
+            {},
+            circle_seams={"c1": ("f0", "mid"), "c2": ("mid", "core")},
+            end_patch={"out": "f0"},
+        ),
+        {"core": M, "mid": M, "f0": M},
+        {"c1": G, "c2": G},
+    )
+    assert shrink_strip(annulus, "mid").is_valid()
+    assert quilt_glue(*_bubble_pair({"cache": cache, "G": G}), "ein").is_valid()
 
 
 def isomorphism():

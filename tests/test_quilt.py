@@ -9,6 +9,7 @@ from floerkit.bordism import b_circle, canonical_circle
 from floerkit.bordobjects import surface
 from floerkit.errors import (
     CyclicMismatch,
+    FloerkitError,
     InputNotGenerator,
     InvalidEnd,
     LabelMismatch,
@@ -752,6 +753,128 @@ def test_surgery_output_bytes_pinned(rels):
     got["bubble-weld"] = digest(quilt_glue(*_bubble_pair(rels), "ein"))
     got["annulus"] = digest(shrink_strip(_annulus(rels), "mid"))
     assert got == SURGERY_DIGESTS
+
+
+def _torus_pair(rels):
+    """The one-vertex torus with its end outgoing, and the same shape with
+    that end incoming and a bare outgoing end on its one patch; the patch
+    carries the genus-1 variety and both seams its diagonal."""
+    M = rels["cache"].variety(surface(1))
+    D = diagonal_relation(M)
+    order = ("a", "b", "c", "d")
+    seams = {"A": ("a", "c"), "B": ("b", "d")}
+    surfaces = (
+        QuiltSurface({"out": order}, "out", seams),
+        QuiltSurface({"in": order, "out": ()}, "out", seams, end_patch={"out": "f0"}),
+    )
+    return tuple(QuiltDiagram(s, {"f0": M}, {"A": D, "B": D}) for s in surfaces)
+
+
+def test_glue_refuses_welded_curves_that_do_not_separate(rels):
+    # both seams weld into closed curves on the sphere left after gluing,
+    # and two non-separating curves bound no tree of regions
+    q1, q2 = _torus_pair(rels)
+    assert q1.is_valid() and q2.is_valid()
+    with pytest.raises(CyclicMismatch) as info:
+        quilt_glue(q1, q2, "in")
+    assert str(info.value) == "gluing produced an invalid diagram"
+    failed = [e["check"] for e in info.value.witness if e["status"] == "fail"]
+    assert failed == ["circle seams form trees of regions inside faces"]
+
+
+def _surgery_library(rels):
+    """The diagrams that the surgery sweep starts from, by name."""
+    Y, G, D = rels["Y"], rels["G"], rels["D"]
+    core_first = _annulus(rels)
+    core_first = QuiltDiagram(
+        core_first.surface,
+        {p: core_first.patch_labels[p] for p in ("core", "mid", "f0")},
+        core_first.seam_labels,
+    )
+    torus, torus_in = _torus_pair(rels)
+    return {
+        "cyl1": cylinder_diagram([G]),
+        "cyl2": cylinder_diagram([Y, Y.transpose()]),
+        "cyl3": cylinder_diagram([G, Y, Y.transpose()]),
+        "cyl4": cylinder_diagram([G, G.transpose(), G, G.transpose()]),
+        "cap": cap_diagram(Y),
+        "cup": cup_diagram(Y),
+        "snake": snake_frame_diagram(Y),
+        "vertical": vertical_composition_diagram(D, D, D),
+        "object": object_cylinder_diagram(D.source),
+        "tube": _bare_ends_on(rels, {"in": "inner", "out": "f0"}),
+        "annulus": _annulus(rels),
+        "annulus-core-first": core_first,
+        "torus": torus,
+        "torus-in": torus_in,
+    }
+
+
+SWEEP_KEEP = 30  # gluing results kept per round for the next round
+
+
+def surgery_sweep(rels):
+    """One line per surgery outcome: every ordered pair of the library glued
+    at each incoming end, then each kept result glued with the library both
+    ways; every patch of the library and of the kept results shrunk, and
+    every patch of each shrink result shrunk once more.  A result records
+    the digest of its JSON dump and its surface's ids; a refusal records
+    its class, message and witness."""
+    lines = []
+
+    def attempt(tag, surgery, *args):
+        try:
+            q = surgery(*args)
+        except FloerkitError as err:
+            lines.append(f"{tag} {type(err).__name__} {err} {err.witness!r}")
+            return None
+        s = q.surface
+        digest = hashlib.sha256(fio.dumps(fio.diagram_to_json(q)).encode()).hexdigest()
+        ids = [
+            sorted(part.items(), key=repr)
+            for part in (s.ends, s.seams, s.circle_seams, s.end_patch)
+        ]
+        lines.append(f"{tag} {digest} {ids!r} {getattr(q, 'glue_offset', None)}")
+        return q
+
+    def glue_round(pairs):
+        kept = {}
+        for (n1, q1), (n2, q2) in pairs:
+            for e in q2.surface.incoming_ends():
+                name = f"({n1}*{n2}@{e})"
+                q = attempt(f"glue {name}", quilt_glue, q1, q2, e)
+                if q is not None and len(kept) < SWEEP_KEEP:
+                    kept[name] = q
+        return kept
+
+    library = _surgery_library(rels)
+    first = glue_round(itertools.product(library.items(), repeat=2))
+    second = glue_round(
+        pair
+        for a, b in itertools.product(first.items(), library.items())
+        for pair in ((a, b), (b, a))
+    )
+    for name, q in {**library, **first, **second}.items():
+        for p in q.surface.data()["patches"]:
+            shrunk = attempt(f"shrink {name} {p!r}", shrink_strip, q, p)
+            if shrunk is None:
+                continue
+            for p2 in shrunk.surface.data()["patches"]:
+                attempt(f"shrink {name} {p!r} {p2!r}", shrink_strip, shrunk, p2)
+    return lines
+
+
+# sha256 over the lines of ``surgery_sweep``: 1,129 outcomes, 261 of them
+# results
+SURGERY_SWEEP_DIGEST = "56a7c8350f7f8db8cf30e2792b5f059f1632c1bade23701ee5f40bd7eba4680f"
+
+
+def test_surgery_sweep_outcomes_pinned(rels):
+    # any exception other than a FloerkitError escapes and fails the test
+    lines = surgery_sweep(rels)
+    assert len(lines) == 1129
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SURGERY_SWEEP_DIGEST
 
 
 def test_shrink_strip_renames_bare_end_patch(rels):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from floerkit import words
 from floerkit.errors import GenusMismatch, InvalidAutomorphism
 from floerkit.groups import cyclic_group, symmetric_group
 from floerkit.words import (
@@ -183,6 +184,38 @@ def test_builtin_library_validates():
     for g in (1, 2, 3):
         for phi in builtin_library(g):
             validate_automorphism(phi, cross_check_group=cyclic_group(2))
+
+
+def test_composites_and_inverses_are_automorphisms(monkeypatch):
+    # then and inverse build their results without validate_automorphism;
+    # the check, kept as the reference, accepts every composite and
+    # inverse of the library, and each equals, hashes and prints as the
+    # same automorphism built through the validating constructor
+    for g in (1, 2, 3):
+        lib = builtin_library(g)
+        checks = []
+        original = words.validate_automorphism
+        monkeypatch.setattr(words, "validate_automorphism", lambda *a: checks.append(a))
+        built = [f.then(h) for f, h in itertools.product(lib, repeat=2)]
+        built += [phi.inverse() for phi in lib + built]
+        monkeypatch.setattr(words, "validate_automorphism", original)
+        assert checks == []
+        for phi in built:
+            validate_automorphism(phi, cross_check_group=cyclic_group(2))
+            rebuilt = SurfaceAutomorphism(g, phi.images, phi.inverse_images, name=phi.name)
+            assert (phi, hash(phi), repr(phi)) == (rebuilt, hash(rebuilt), repr(rebuilt))
+            assert (phi.images, phi.inverse_images) == (rebuilt.images, rebuilt.inverse_images)
+
+
+def test_composite_words_are_reduced_and_counted():
+    t = dehn_twist_a(1)
+    inverse = t.inverse()
+    assert inverse.images == t.inverse_images and inverse.name == "~" + t.name
+    ident = t.then(inverse)
+    assert all(w == reduce_word(w) for w in ident.images + ident.inverse_images)
+    assert ident.is_identity()
+    with pytest.raises(GenusMismatch):
+        SurfaceAutomorphism._composite(1, t.images, t.images[:1], "")
 
 
 def test_crossing_transport_relator_exact():

@@ -530,10 +530,16 @@ def cerf_connected(c1: CobordismChain, c2: CobordismChain, depth: int,
                     continue
                 if not expand_fwd:
                     move = move.inverse()
-                    try:  # the window matches: nxt holds its old steps at its pos
-                        _check_move(move)
-                    except MoveNotApplicable:
-                        continue
+                    # every other inverse reads the pair that cerf_neighbors
+                    # checked, through the same rule; that of a switch of two
+                    # 2-handles contracts the switched pair.  The window
+                    # matches: nxt holds its old steps at its pos
+                    kinds = tuple(s.kind for s in move.old_steps)
+                    if (move.kind, kinds) == ("CritSwitch", ("attach2", "attach2")):
+                        try:
+                            _check_move(move)
+                        except MoveNotApplicable:
+                            continue
                 new_frontier[k] = (nxt, path + [move])
         if expand_fwd:
             fwd_depth += 1

@@ -240,6 +240,7 @@ def verify_cerf_compatibility(spec: PartialFunctorSpec, genera=(1, 2), transport
         lib = transports[g] if transports else builtin_library(g)
         rot = crossing_transport(g, 1)
         if g >= 2:
+            tau = handle_swap(g, 1, 2)
             l_prime = relation(attach2(canonical_circle(g - 1)))
             l_prime_t = l_prime.transpose()
             emb4, w4 = is_embedded(l_prime, l_prime_t)
@@ -271,7 +272,6 @@ def verify_cerf_compatibility(spec: PartialFunctorSpec, genera=(1, 2), transport
             )
 
             if g >= 2:
-                tau = handle_swap(g, 1, 2)
                 beta_d = AttachingCircle(g, tau.then(psi))
                 l_beta_d = relation(attach2(beta_d))
 

@@ -1,17 +1,16 @@
 """Deterministic worker-pool helpers.
 
 Work is split into an ordered chunk list and results come back in chunk
-order; a caller that merges locally sorted results as a sorted union gets
-output that never depends on the worker count.  Worker count 1 bypasses
-multiprocessing entirely, without importing it.
+order; a caller whose chunks return sorted runs of consecutive keys
+concatenates them into output that never depends on the worker count.
+Worker count 1 bypasses multiprocessing entirely, without importing it.
 
 A pool of two forked workers costs 15-20 ms on a 2-core host, so a
 caller passes one worker when its job is small.  ``repvar.repvariety``
 runs every variety that expands fewer than 500,000 tuples in the parent,
-whatever the worker count.  Best of 3, two workers took 0.034 against
-0.014 s on D6 genus 2 and 0.32 against 0.26 s on Q8 genus 3 (114,688
-tuples), but 1.05 against 1.45 s on D6 genus 3 (912,384) and 0.34 against
-0.42 s on S5 genus 2 (BENCH_19.json).
+whatever the worker count.  Best of 3, two workers took 0.076 against
+0.065 s on Q8 genus 3 (114,688 tuples), but 0.27 against 0.38 s on D6
+genus 3 (912,384) and 0.97 against 1.30 s on S4 genus 3 (BENCH_24.json).
 """
 
 from __future__ import annotations

@@ -575,10 +575,10 @@ def _resurface(
     label of the old patch of its first half-edge (``old_patch_of_half``),
     and that old patch id is renamed to the face id.  A seamless sphere's
     face f0 keeps the old f0 when there is one (an annulus shrink keeps
-    every face id), else takes the first patch.  Circle regions keep their
-    ids, and circle seams and bare ends (given with old patch ids) follow
-    the renaming.  Raises ``error(message)`` with the validation report as
-    its witness when the result is invalid.
+    every face id unless it removes f0), else takes the first patch.
+    Circle regions keep their ids, and circle seams and bare ends (given
+    with old patch ids) follow the renaming.  Raises ``error(message)``
+    with the validation report as its witness when the result is invalid.
     """
     faces = QuiltSurface(ends, outgoing, seams).core_data()["faces"]
     labels = {}
@@ -775,16 +775,20 @@ def shrink_strip(q: QuiltDiagram, p):
     seams into one labeled with the (embedded) geometric composition.
     Removing a strip retraces the faces, so the other patches may be
     renamed; circle seams and bare ends follow them.  An annulus leaves
-    the ends and interval seams as they are, so the faces keep their ids."""
+    the ends and interval seams as they are, so the faces keep their ids,
+    but for the f0 of a seamless sphere: removing that annulus names its
+    first remaining patch f0."""
     surface = q.surface
     data = surface.data()
     ends, seams, circles = surface.ends, surface.seams, surface.circle_seams
     touching = sorted((c for c, sides in circles.items() if p in sides), key=repr)
     # each branch picks the seams read into p and out of p, as (seam,
-    # direction), and puts the merged seam in their place
-    if p in data["faces"]:
+    # direction), and puts the merged seam in their place; the f0 of a
+    # seamless sphere is a traced face with an empty orbit, and between two
+    # circle seams it is an annulus
+    orbit = data["faces"].get(p)
+    if orbit is not None and (orbit or len(touching) != 2):
         kind = "strip"
-        orbit = data["faces"][p]
         if len(orbit) != 2:
             raise NotAStrip(
                 f"patch {p!r} has {len(orbit)} boundary seam-sides, need 2",

@@ -11,14 +11,16 @@ Enumeration uses the commutator-fiber factorization of the relator
 constraint: solutions of [A_1,B_1]...[A_g,B_g] = e are assembled from the
 precomputed fibers {(A,B) : [A,B] = c}, which keeps genus-2 varieties over
 groups of order ~24 at desk scale.  ``enumerate_relator_solutions`` is the
-one enumeration kernel.  Both of its callers expand only the first handles
-that ``least_first_handles`` keeps, the pairs that are least in their own
-conjugation orbit (orderly generation cut at the first handle): the
-variety canonicalises those slices, and the 2-handle relation, whose pairs
-are conjugation invariant, reads the slices A_1 = e with B_1 a class
-minimum.  Those slices and their target points do not depend on the
-attaching circle: ``VarietyCache.attach_slice`` enumerates them once per
-genus, and each circle only maps them to its source points.
+one enumeration kernel.  The variety expands only the first handles that
+``least_first_handles`` keeps, the pairs that are least in their own
+conjugation orbit, and cuts each middle handle that a conjugator fixing
+the prefix would lower (orderly generation, handle by handle); of what is
+left it keeps the tuples that ``canonical_point`` fixes, one per orbit.
+The 2-handle relation, whose pairs are conjugation invariant, reads the
+points with A_1 = e, the prefix of the sorted variety: one tuple per orbit
+of the solutions with A_1 = e.  They and their target points do not depend
+on the attaching circle, so ``VarietyCache.attach_slice`` lists them once
+per genus, and each circle only maps them to its source points.
 
 ``canonical_point`` picks the least tuple of an orbit without trying all
 |G| conjugators: the group lists, per pair (x, y), the conjugators that
@@ -33,6 +35,7 @@ relations pair the point tuples their varieties already store.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -104,7 +107,24 @@ def least_first_handles(group):
     ]
 
 
-def enumerate_relator_solutions(group, genus, budget=None, first=None):
+def _still_fixing(rows, pair):
+    """The rows that fix ``pair``, or None when one of them lowers it."""
+    kept = []
+    x, y = pair
+    for row in rows:
+        rx = row[x]
+        if rx == x:
+            ry = row[y]
+            if ry < y:
+                return None
+            if ry == y:
+                kept.append(row)
+        elif rx < x:
+            return None
+    return kept
+
+
+def enumerate_relator_solutions(group, genus, budget=None, first=None, *, _cut=False):
     """All tuples in G^{2g} satisfying the surface relator (no quotient).
 
     ``first`` lists the first-handle entries ((A_1, B_1), [A_1, B_1]) to
@@ -116,6 +136,14 @@ def enumerate_relator_solutions(group, genus, budget=None, first=None):
     grouped by first handle in the order of ``first``, so the outputs of
     consecutive slices of the entries concatenate to the full output; at
     genus <= 2 it is in lexicographic order.
+
+    ``_cut`` is set by ``repvariety`` alone, whose first handles are least
+    pairs.  A middle handle is then kept only when no row of
+    ``_pair_conjugators`` for (A_1, B_1) that fixes the prefix so far
+    lowers its pair; the rows that fix the pair too carry on to the next
+    handle.  A row that lowers the pair lowers the whole tuple, so only
+    tuples that are not least in their orbit are dropped: orderly
+    generation carried past the first handle.  The last handle is not cut.
     """
     if genus == 0:
         yield ()
@@ -131,12 +159,24 @@ def enumerate_relator_solutions(group, genus, budget=None, first=None):
         fibers.setdefault(c, []).append(pair)
     rows, inv = group._rows, group._inverse
     in_fiber_order = [(pair, c) for c, pairs in fibers.items() for pair in pairs]
+    n = group.order
+    identity = list(range(n))
     for head, commutator in first:
-        for middle in itertools.product(in_fiber_order, repeat=genus - 2):
-            tup, acc = head, commutator
-            for pair, c in middle:
-                tup += pair
-                acc = rows[acc][c]
+        # the conjugators but e that fix the prefix so far; e never cuts
+        fixing = [
+            row for row in group._pair_conjugators[head[0] * n + head[1]]
+            if row != identity
+        ] if _cut else []
+        level = [(head, commutator, fixing)]
+        for _ in range(genus - 2):
+            longer = []
+            for tup, acc, fixing in level:
+                for pair, c in in_fiber_order:
+                    kept = _still_fixing(fixing, pair) if fixing else fixing
+                    if kept is not None:
+                        longer.append((tup + pair, rows[acc][c], kept))
+            level = longer
+        for tup, acc, _ in level:
             for pair in fibers.get(inv[acc], ()):
                 yield tup + pair
 
@@ -183,34 +223,40 @@ class RepVariety:
 
 _POOL_STATE = {}
 
-# Fewest tuples (first handles kept times |G|^(2g-2)) worth forking workers
-# for; smaller varieties run in the parent.  Best of 3, one worker against
-# two: Q8 genus 3 (114,688 tuples) 0.26 against 0.32 s, D6 genus 3 (912,384)
-# 1.45 against 1.05 s (BENCH_19.json).
+# Fewest tuples (first handles kept times |G|^(2g-2), before the middle-
+# handle cut) worth forking workers for; smaller varieties run in the
+# parent.  Best of 3 on the cut kernel, one worker against two: Q8 genus 3
+# (114,688 tuples) 0.065 against 0.076 s, D6 genus 3 (912,384) 0.38
+# against 0.27 s, S4 genus 3 (14,266,368) 1.30 against 0.97 s
+# (BENCH_24.json).
 _FORK_MIN_TUPLES = 500_000
 
 
 def _variety_chunk(first):
     group, genus = _POOL_STATE["job"]
     return sorted(
-        {canonical_point(group, tup)
-         for tup in enumerate_relator_solutions(group, genus, first=first)}
+        tup for tup in enumerate_relator_solutions(group, genus, first=first, _cut=True)
+        if canonical_point(group, tup) == tup
     )
 
 
 def repvariety(group, obj, budget=None, workers=1):
     """Enumerate the representation variety of a bordism object.
 
-    Only the entries of ``least_first_handles`` are expanded: the least
-    tuple of every orbit starts with one of them, and ``canonical_point``
-    maps every tuple they give into the variety.  The entries are cut into
-    about 4 * workers slices; each slice is one chunk of ``run_chunks``
-    (inline for one worker, in forked workers otherwise) that returns its
-    sorted canonical points.  The variety is the sorted union, so output
-    order is identical for every worker count.  The budget is checked
-    here, before any fork.  A variety that expands fewer than
-    ``_FORK_MIN_TUPLES`` tuples (500,000) runs in the parent whatever the
-    worker count: below it a fork costs more than it saves.
+    Only the entries of ``least_first_handles`` are expanded, with the
+    middle-handle cut of ``enumerate_relator_solutions``: the least tuple
+    of every orbit starts with one of them and survives the cut.  Of the
+    tuples expanded, a chunk keeps those that ``canonical_point`` fixes,
+    so each orbit appears once, as its least tuple.  The entries are cut
+    into about 4 * workers slices; each slice is one chunk of
+    ``run_chunks`` (inline for one worker, in forked workers otherwise)
+    that returns its sorted points.  The chunks hold consecutive runs of
+    first handles, so their concatenation is sorted and the output order
+    is identical for every worker count.  The budget is checked here,
+    before any fork.  A variety that expands fewer than
+    ``_FORK_MIN_TUPLES`` tuples (500,000; first handles times
+    |G|^(2g-2), before the cut) runs in the parent whatever the worker
+    count: below it a fork costs more than it saves.
     """
     from .parallel import run_chunks
 
@@ -233,7 +279,9 @@ def repvariety(group, obj, budget=None, workers=1):
         parts = run_chunks(_variety_chunk, chunks, workers)
     finally:
         _POOL_STATE.pop("job", None)
-    return RepVariety(group, obj, tuple(sorted(set().union(*parts))))
+    # each chunk is sorted and holds the heads after those of the chunk
+    # before it, so the concatenation is sorted
+    return RepVariety(group, obj, tuple(itertools.chain.from_iterable(parts)))
 
 
 @dataclass(frozen=True)
@@ -334,25 +382,26 @@ class VarietyCache:
         return self._varieties[obj]
 
     def attach_slice(self, genus):
-        """(sigma, target point) for every solution sigma of the genus-g
-        relator with A_1 = e and B_1 a class minimum, in enumeration order.
+        """(sigma, target point) for each point sigma of the genus-g
+        variety with A_1 = e, in the variety's order: the prefix of its
+        sorted points, since e is 0.
 
-        The target point is the stored point of ``canonical_point(sigma[2:])``
-        in the genus g-1 variety.  Neither depends on the attaching circle,
-        so every 2-handle relation of this genus reads one list; it is
-        enumerated under the cache's budget, and a refusal stores nothing.
+        Each sigma is the least tuple of its orbit, so B_1 is a class
+        minimum, and the orbits are those of every relator solution with
+        A_1 = e.  The target point is the stored point of
+        ``canonical_point(sigma[2:])`` in the genus g-1 variety.  Neither
+        depends on the attaching circle, so every 2-handle relation of
+        this genus reads one list, built once; both varieties load under
+        the cache's budget, and a refusal stores nothing.
         """
         if genus not in self._attach_slices:
             group = self.group
+            points = self.variety(surface(genus)).points
             stored = self.variety(surface(genus - 1)).stored
-            a1_is_e = [entry for entry in least_first_handles(group) if entry[0][0] == 0]
-            found = []
-            for sigma in enumerate_relator_solutions(
-                group, genus, budget=self.budget, first=a1_is_e
-            ):
-                y = canonical_point(group, sigma[2:])
-                found.append((sigma, stored.get(y, y)))
-            self._attach_slices[genus] = found
+            self._attach_slices[genus] = [
+                (sigma, stored[canonical_point(group, sigma[2:])])
+                for sigma in points[:bisect.bisect_left(points, (1,))]
+            ]
         return self._attach_slices[genus]
 
 
@@ -386,11 +435,12 @@ def relation_of_attach2(group, circle, cache=None):
     relator: the source point is sigma composed with the inverse transport,
     the target point is the restriction (sigma(a_i), sigma(b_i)) for i >= 2
     in the pushed-forward standard basis.  Conjugating sigma leaves its pair
-    of canonical points unchanged, so sigma(b_1) runs over the class minima
-    only: the entries of ``least_first_handles`` with A_1 = e.  The sigmas
-    and their target points do not depend on the circle, so they come from
-    ``cache.attach_slice``, built once per genus; only the source points
-    are computed here.
+    of canonical points unchanged, so one sigma per orbit suffices: the
+    points of the genus-g variety with A_1 = e, from
+    ``cache.attach_slice``, which lists them with their target points once
+    per genus.  Only the source points are computed here, one per orbit,
+    and no tuples are enumerated: the relation loads the genus-g variety
+    under the same budget anyway.
     """
     cache = cache or VarietyCache(group)
     g = circle.genus

@@ -1,8 +1,10 @@
 import itertools
 import random
+import sys
 
 import pytest
 
+from floerkit import bordism
 from floerkit.bordism import (
     CAP0,
     CAP3,
@@ -325,6 +327,72 @@ def test_cerf_connected_keeps_only_moves_whose_inverse_applies():
     # the other way round the switch is found forwards and applies
     path = cerf_connected(c2, c1, depth=1)
     assert path == [move] and applied(c2, path).same_chain(c1)
+
+
+def move_record(move):
+    return (
+        move.kind,
+        move.pos,
+        [s.syntactic_key() for s in move.old_steps],
+        [s.syntactic_key() for s in move.new_steps],
+    )
+
+
+# The depth-4 paths between distinct closed fixtures, as found when every
+# inverse move was checked again; every other pair of distinct fixtures
+# has none.
+FIXTURE_PATHS = {
+    ("S3", "S3-genus2"): [
+        ("CylAbsorbPost", 1, [("attach1", 1, ((1,), (2,)))],
+         [("attach1", 1, ((1,), (2,))), ("cyl", 1, ((1,), (2,)))]),
+        ("CritCreate", 2, [("cyl", 1, ((1,), (2,)))],
+         [("attach1", 2, ((1,), (2,), (3,), (4,))),
+          ("attach2", 2, ((1, 2, -1), (-1,), (3,), (4,)))]),
+    ],
+    ("S3-genus2", "S3"): [
+        ("CritCancel", 2,
+         [("attach1", 2, ((1,), (2,), (3,), (4,))),
+          ("attach2", 2, ((1, 2, -1), (-1,), (3,), (4,)))],
+         [("cyl", 1, ((1,), (2,)))]),
+        ("CylAbsorbPost", 1, [("attach1", 1, ((1,), (2,))), ("cyl", 1, ((1,), (2,)))],
+         [("attach1", 1, ((1,), (2,)))]),
+    ],
+}
+
+
+def test_fixture_searches_find_the_pinned_paths():
+    fixtures = fixture_presentations()
+    for a, b in itertools.product(fixtures, repeat=2):
+        c1, c2 = fixtures[a][0](), fixtures[b][0]()
+        path = cerf_connected(c1, c2, depth=4)
+        if a == b:
+            assert path == []
+        elif (a, b) not in FIXTURE_PATHS:
+            assert path is None, (a, b)
+        else:
+            assert [move_record(m) for m in path] == FIXTURE_PATHS[a, b]
+            assert applied(c1, path).same_chain(c2)
+
+
+def test_only_a_switch_of_two_2_handles_has_its_inverse_checked_again(monkeypatch):
+    # every other inverse reads the pair that cerf_neighbors checked
+    # through the same rule; 94 inverse checks before, 88 of them repeats
+    inverse_checks = []
+    check = bordism._check_move
+
+    def spy(move):
+        if sys._getframe(1).f_code.co_name == "cerf_connected":
+            inverse_checks.append(move)
+        return check(move)
+
+    monkeypatch.setattr(bordism, "_check_move", spy)
+    fixtures = fixture_presentations()
+    c1, c2 = fixtures["S3-genus2"][0](), fixtures["S1xS2#S1xS2"][0]()
+    assert cerf_connected(c1, c2, depth=4) is None
+    assert len(inverse_checks) == 6
+    assert {
+        (m.kind, tuple(s.kind for s in m.old_steps)) for m in inverse_checks
+    } == {("CritSwitch", ("attach2", "attach2"))}
 
 
 def test_cerf_connected_boundary_check():

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from floerkit import io as fio
-from floerkit import repvar
+from floerkit import repvar, words
 
 from floerkit.bordism import (
     CAP0,
@@ -255,6 +255,22 @@ def test_cerf_suite_builds_each_relation_once(monkeypatch):
     assert len(report) == (5 + 5 * 5) + (3 * 7 + 7 * 7)
     assert len(attach) == len(set(attach)) == 53
     assert len(cylinders) == len(set(cylinders)) == 12
+
+
+def test_cerf_suite_builds_the_handle_swap_once_per_genus(monkeypatch):
+    # each automorphism built through the validating constructor is checked
+    # once; the suite built handle_swap(2, 1, 2) once per library entry (22
+    # checks over S3 at genus 1-2)
+    checks = []
+    validate = words.validate_automorphism
+
+    def spy(*args):
+        checks.append(args[0].genus)
+        return validate(*args)
+
+    monkeypatch.setattr(words, "validate_automorphism", spy)
+    verify_cerf_compatibility(PartialFunctorSpec(S3), genera=(1, 2))
+    assert len(checks) == 16
 
 
 # sha256 of io.dumps(verify_cerf_compatibility(PartialFunctorSpec(G)))

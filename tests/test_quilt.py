@@ -864,17 +864,55 @@ def surgery_sweep(rels):
     return lines
 
 
-# sha256 over the lines of ``surgery_sweep``: 1,129 outcomes, 261 of them
+# sha256 over the lines of ``surgery_sweep``: 1,143 outcomes, 271 of them
 # results
-SURGERY_SWEEP_DIGEST = "56a7c8350f7f8db8cf30e2792b5f059f1632c1bade23701ee5f40bd7eba4680f"
+SURGERY_SWEEP_DIGEST = "1f73e0d33b431828f679b7a68f55ed64c47b2bf88bda29594c4204665274cde3"
 
 
 def test_surgery_sweep_outcomes_pinned(rels):
     # any exception other than a FloerkitError escapes and fails the test
     lines = surgery_sweep(rels)
-    assert len(lines) == 1129
+    assert len(lines) == 1143
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SURGERY_SWEEP_DIGEST
+
+
+def _shrinkable(q):
+    """The results of shrinking each patch of q that shrinks."""
+    shrunk = []
+    for p in q.surface.data()["patches"]:
+        try:
+            shrunk.append(shrink_strip(q, p))
+        except NotAStrip:
+            pass
+    return shrunk
+
+
+def test_an_annulus_named_f0_shrinks_whatever_the_label_order(rels):
+    # a seamless glue names f0 the region that the first diagram's patch
+    # labels list first; the region between two circle seams is an annulus
+    # whatever its name, so both label orders shrink the same two regions
+    library = _surgery_library(rels)
+    a, b = (
+        _shrinkable(quilt_glue(library[name], library["tube"], "in"))
+        for name in ("annulus", "annulus-core-first")
+    )
+    assert len(a) == len(b) == 2
+    assert not diagrams_isomorphic(*a)
+    for x, y in ((a, b), (b, a)):
+        assert all(any(diagrams_isomorphic(q, r) for r in y) for q in x)
+
+
+def test_the_middle_annulus_of_two_object_cylinders_shrinks(rels):
+    M = rels["cache"].variety(surface(1))
+    glued = quilt_glue(object_cylinder_diagram(M), object_cylinder_diagram(M), "in")
+    (p,) = [p for p, orbit in glued.surface.data()["faces"].items() if not orbit]
+    assert sum(p in sides for sides in glued.surface.circle_seams.values()) == 2
+    shrunk = shrink_strip(glued, p)
+    assert shrunk.is_valid()
+    assert diagrams_isomorphic(shrunk, object_cylinder_diagram(M))
+    table = {k: v for k, v in evaluation_map(shrunk).items() if v}
+    assert table and table == brute_evaluation_map(shrunk)
 
 
 def test_shrink_strip_renames_bare_end_patch(rels):

@@ -184,6 +184,7 @@ def burnside_variety_count(group, genus):
         (S4, 2, 1851),
         (Q8, 3, 36352),
         (S5, 2, 33693),
+        (S4, 3, 711411),
     ],
     ids=lambda v: getattr(v, "name", v),
 )
@@ -244,6 +245,21 @@ def test_variety_from_least_first_handles_matches_every_solution(
     for workers in (1, 2):
         assert repvariety(group, surface(genus), workers=workers).points == expected
     assert chunk_workers == [1, 2]
+
+
+@pytest.mark.parametrize("group", [Z3, S3, Q8], ids=lambda g: g.name)
+def test_the_middle_handle_cut_drops_only_tuples_that_are_not_least(group):
+    least = least_first_handles(group)
+    heads = {pair for pair, _ in least}
+    # every solution that starts with a least pair, in the order of the walk
+    uncut = [tup for tup in enumerate_relator_solutions(group, 3) if tup[:2] in heads]
+    cut = list(enumerate_relator_solutions(group, 3, first=least, _cut=True))
+    rest = iter(uncut)
+    assert all(tup in rest for tup in cut)  # in order, each once
+    dropped = set(uncut) - set(cut)
+    assert all(canonical_point(group, tup) != tup for tup in dropped)
+    # an abelian group fixes every pair, so nothing is cut
+    assert bool(dropped) == (not group.is_abelian())
 
 
 def test_small_varieties_run_in_the_parent_at_any_worker_count(
@@ -463,19 +479,51 @@ def library_circles(genus):
     ]
 
 
-def test_the_attach_slice_is_enumerated_once_per_genus(monkeypatch):
+def test_the_attach_slice_is_built_once_per_genus_without_enumeration(monkeypatch):
     cache, other = VarietyCache(S3), VarietyCache(S3)
     for g in (0, 1, 2):
         cache.variety(surface(g))
         other.variety(surface(g))
     enumerations = count_calls(monkeypatch, "enumerate_relator_solutions")
+    slices = {g: cache.attach_slice(g) for g in (1, 2)}
     for g in (1, 2):
         for c in library_circles(g):
             relation_of_attach2(S3, c, cache)
-    assert [args[1] for args in enumerations] == [1, 2]
-    # a second cache enumerates its own slices
+        assert cache.attach_slice(g) is slices[g]
+    # the slices read the cached varieties
+    assert enumerations == []
+    # a second cache builds its own slices
     relation_of_attach2(S3, canonical_circle(1), other)
-    assert [args[1] for args in enumerations] == [1, 2, 1]
+    assert other.attach_slice(1) == slices[1] and other.attach_slice(1) is not slices[1]
+    assert enumerations == []
+
+
+def old_attach_slice(cache, genus):
+    """The slice as it was enumerated: every solution with A_1 = e and B_1 a
+    class minimum, canonicalised and deduplicated, with its target point."""
+    group = cache.group
+    minima = {c[0] for c in group.conjugacy_classes}
+    stored = cache.variety(surface(genus - 1)).stored
+    found = {
+        canonical_point(group, sigma): stored[canonical_point(group, sigma[2:])]
+        for sigma in enumerate_relator_solutions(group, genus)
+        if sigma[0] == 0 and sigma[1] in minima
+    }
+    return sorted(found.items())
+
+
+@pytest.mark.parametrize(
+    "group, genus",
+    [(G, g) for G in (Z3, S3, Q8, D6) for g in (1, 2)] + [(S4, 2)],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_the_attach_slice_is_the_old_slice_one_tuple_per_orbit(group, genus):
+    cache = VarietyCache(group)
+    found = cache.attach_slice(genus)
+    assert found == old_attach_slice(cache, genus)
+    # the standard circle's relation has one pair per slice point
+    rel = relation_of_attach2(group, canonical_circle(genus), cache)
+    assert len(rel) == len(found) and rel.pairs == frozenset(found)
 
 
 @pytest.mark.parametrize(

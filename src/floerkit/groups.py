@@ -163,7 +163,7 @@ class FiniteGroup:
         return bool(np.array_equal(self.mul, self.mul.T))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteGroup)
             and self.order == other.order
             and np.array_equal(self.mul, other.mul)

@@ -5,6 +5,7 @@ dependence on dict insertion order or worker count."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -42,7 +43,9 @@ def dumps(data):
     json writes indented output with nested encoding functions that refer
     to each other, a reference cycle per call; this writer is module-level
     functions over one list of chunks.  A list of plain ints, such as a
-    variety point, is written through one ``%d`` template.
+    variety point, is written through one ``%d`` template, and a list of
+    equal-length rows of plain ints, such as a variety's points, through
+    one template for the whole block.
     """
     out = []
     _write(data, 0, out)
@@ -95,16 +98,26 @@ def _int_row_template(length, level):
 def _write_list(items, level, out):
     if not items:
         out.append("[]")
-    elif all(type(x) is int for x in items):  # bools are written as true/false
+        return
+    types = set(map(type, items))
+    if types == {int}:  # bools are written as true/false
         out.append(_int_row_template(len(items), level) % tuple(items))
-    else:
-        inner = "\n" + " " * (level + 1)
-        separator = "[" + inner
-        for value in items:
-            out.append(separator)
-            separator = "," + inner
-            _write(value, level + 1, out)
-        out.append("\n" + " " * level + "]")
+        return
+    inner = "\n" + " " * (level + 1)
+    if types <= {list, tuple} and len(set(map(len, items))) == 1 and items[0]:
+        flat = tuple(itertools.chain.from_iterable(items))
+        if set(map(type, flat)) == {int}:
+            # equal rows of plain ints, such as a variety's points: one block
+            row = _int_row_template(len(items[0]), level + 1)
+            block = ("," + inner).join([row] * len(items))
+            out.append(("[" + inner + block + "\n" + " " * level + "]") % flat)
+            return
+    separator = "[" + inner
+    for value in items:
+        out.append(separator)
+        separator = "," + inner
+        _write(value, level + 1, out)
+    out.append("\n" + " " * level + "]")
 
 
 def _write_dict(mapping, level, out):

@@ -5,12 +5,13 @@ order; a caller whose chunks return sorted runs of consecutive keys
 concatenates them into output that never depends on the worker count.
 Worker count 1 bypasses multiprocessing entirely, without importing it.
 
-A pool of two forked workers costs 15-20 ms on a 2-core host, so a
-caller passes one worker when its job is small.  ``repvar.repvariety``
-runs every variety that expands fewer than 500,000 tuples in the parent,
-whatever the worker count.  Best of 3, two workers took 0.076 against
-0.065 s on Q8 genus 3 (114,688 tuples), but 0.27 against 0.38 s on D6
-genus 3 (912,384) and 0.97 against 1.30 s on S4 genus 3 (BENCH_24.json).
+A pool of two forked workers costs 15-20 ms on a 2-core host, and the
+workers send every result back through a pipe, so a caller passes one
+worker when its job is small.  ``repvar.repvariety`` runs every variety
+that expands fewer than 2,000,000 tuples in the parent, whatever the
+worker count.  Best of 3, two workers took 0.130 against 0.106 s on D6
+genus 3 (912,384 tuples), but 0.11-0.14 against 0.13-0.18 s on S5 genus
+2 (2,318,400) (BENCH_25.json).
 """
 
 from __future__ import annotations

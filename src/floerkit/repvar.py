@@ -14,8 +14,9 @@ groups of order ~24 at desk scale.  ``enumerate_relator_solutions`` is the
 one enumeration kernel.  The variety expands only the first handles that
 ``least_first_handles`` keeps, the pairs that are least in their own
 conjugation orbit, and cuts each middle handle that a conjugator fixing
-the prefix would lower (orderly generation, handle by handle); of what is
-left it keeps the tuples that ``canonical_point`` fixes, one per orbit.
+the prefix would lower (orderly generation, handle by handle).  At the last
+handle a tuple whose prefix only e fixes is least as it stands; of the
+others it keeps the tuples that ``canonical_point`` fixes, one per orbit.
 The 2-handle relation, whose pairs are conjugation invariant, reads the
 points with A_1 = e, the prefix of the sorted variety: one tuple per orbit
 of the solutions with A_1 = e.  They and their target points do not depend
@@ -26,7 +27,7 @@ per genus, and each circle only maps them to its source points.
 |G| conjugators: the group lists, per pair (x, y), the conjugators that
 take it to its least conjugate pair, and only those can give the least
 tuple.  For 38 to 67 % of the pairs in Q8, S3, D6 and S4 that is one
-conjugation.
+conjugation; each is applied to the whole tuple by one ``itemgetter``.
 
 ``relation_of_simple`` is the one way from a simple cobordism to its
 relation: it builds each relation once per ``VarietyCache``, and the
@@ -39,6 +40,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .bordobjects import BordObject, EMPTY, surface
 from .errors import EndpointMismatch, GenusMismatch, ResourceLimit
@@ -51,15 +53,13 @@ def canonical_point(group, tup):
     A conjugator that gives the least tuple must first give the least
     conjugate of (tup[0], tup[1]), so only the rows that
     ``group._pair_conjugators`` lists for that pair are tried: one coset of
-    C(tup[0]) & C(tup[1]), often a single row.  Tuples shorter than two
-    map to their class minima.
+    C(tup[0]) & C(tup[1]), often a single row, each read at the indices of
+    ``tup`` by one ``itemgetter``.  Tuples shorter than two map to their
+    class minima (an ``itemgetter`` of one index would give a scalar).
     """
     if len(tup) < 2:
         return tuple(group.conjugacy_classes[group.class_of[x]][0] for x in tup)
-    rows = group._pair_conjugators[tup[0] * group.order + tup[1]]
-    if len(rows) == 1:
-        return tuple(map(rows[0].__getitem__, tup))
-    return min(tuple(map(row.__getitem__, tup)) for row in rows)
+    return min(map(itemgetter(*tup), group._pair_conjugators[tup[0] * group.order + tup[1]]))
 
 
 def satisfies_relator(group, tup):
@@ -143,7 +143,11 @@ def enumerate_relator_solutions(group, genus, budget=None, first=None, *, _cut=F
     lowers its pair; the rows that fix the pair too carry on to the next
     handle.  A row that lowers the pair lowers the whole tuple, so only
     tuples that are not least in their orbit are dropped: orderly
-    generation carried past the first handle.  The last handle is not cut.
+    generation carried past the first handle.  At the last handle a tuple
+    whose prefix no row but e fixes is least (every other row raises the
+    head pair, or was dropped at a handle it raised) and is yielded as it
+    stands; any other tuple is yielded when ``canonical_point`` fixes it.
+    So the cut walk yields each orbit once, as its least tuple.
     """
     if genus == 0:
         yield ()
@@ -176,9 +180,16 @@ def enumerate_relator_solutions(group, genus, budget=None, first=None, *, _cut=F
                     if kept is not None:
                         longer.append((tup + pair, rows[acc][c], kept))
             level = longer
-        for tup, acc, _ in level:
+        for tup, acc, fixing in level:
+            if not fixing:
+                # only e fixes the prefix: every other conjugator raises it
+                for pair in fibers.get(inv[acc], ()):
+                    yield tup + pair
+                continue
             for pair in fibers.get(inv[acc], ()):
-                yield tup + pair
+                point = tup + pair
+                if canonical_point(group, point) == point:
+                    yield point
 
 
 @dataclass(frozen=True)
@@ -223,38 +234,35 @@ class RepVariety:
 
 _POOL_STATE = {}
 
-# Fewest tuples (first handles kept times |G|^(2g-2), before the middle-
-# handle cut) worth forking workers for; smaller varieties run in the
-# parent.  Best of 3 on the cut kernel, one worker against two: Q8 genus 3
-# (114,688 tuples) 0.065 against 0.076 s, D6 genus 3 (912,384) 0.38
-# against 0.27 s, S4 genus 3 (14,266,368) 1.30 against 0.97 s
-# (BENCH_24.json).
-_FORK_MIN_TUPLES = 500_000
+# Fewest tuples (first handles kept times |G|^(2g-2), before the cut)
+# worth forking workers for; smaller varieties run in the parent.  Best of
+# 3, one worker against two (BENCH_25.json): Q8 genus 3 (114,688 tuples)
+# 0.036 against 0.048 s, S3 genus 4 (513,216) 0.043-0.061 against
+# 0.095-0.113 s, D6 genus 3 (912,384) 0.106 against 0.130 s, S5 genus 2
+# (2,318,400) 0.13-0.18 against 0.11-0.14 s.  S4 genus 3 (14,266,368;
+# 711,411 points) loses too, 0.36 against 0.47 s: the workers send back
+# every point, so the fork costs follow the points, not this estimate.
+_FORK_MIN_TUPLES = 2_000_000
 
 
 def _variety_chunk(first):
     group, genus = _POOL_STATE["job"]
-    return sorted(
-        tup for tup in enumerate_relator_solutions(group, genus, first=first, _cut=True)
-        if canonical_point(group, tup) == tup
-    )
+    return sorted(enumerate_relator_solutions(group, genus, first=first, _cut=True))
 
 
 def repvariety(group, obj, budget=None, workers=1):
     """Enumerate the representation variety of a bordism object.
 
     Only the entries of ``least_first_handles`` are expanded, with the
-    middle-handle cut of ``enumerate_relator_solutions``: the least tuple
-    of every orbit starts with one of them and survives the cut.  Of the
-    tuples expanded, a chunk keeps those that ``canonical_point`` fixes,
-    so each orbit appears once, as its least tuple.  The entries are cut
-    into about 4 * workers slices; each slice is one chunk of
-    ``run_chunks`` (inline for one worker, in forked workers otherwise)
-    that returns its sorted points.  The chunks hold consecutive runs of
-    first handles, so their concatenation is sorted and the output order
-    is identical for every worker count.  The budget is checked here,
-    before any fork.  A variety that expands fewer than
-    ``_FORK_MIN_TUPLES`` tuples (500,000; first handles times
+    cut of ``enumerate_relator_solutions``: the least tuple of every orbit
+    starts with one of them, and the cut walk yields it and no other tuple
+    of its orbit.  The entries are cut into about 4 * workers slices; each
+    slice is one chunk of ``run_chunks`` (inline for one worker, in forked
+    workers otherwise) that returns its sorted points.  The chunks hold
+    consecutive runs of first handles, so their concatenation is sorted
+    and the output order is identical for every worker count.  The budget
+    is checked here, before any fork.  A variety that expands fewer than
+    ``_FORK_MIN_TUPLES`` tuples (2,000,000; first handles times
     |G|^(2g-2), before the cut) runs in the parent whatever the worker
     count: below it a fork costs more than it saves.
     """
@@ -327,7 +335,7 @@ class FiniteRelation:
         return len(self.pairs)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FiniteRelation)
             and self.source.obj == other.source.obj
             and self.target.obj == other.target.obj

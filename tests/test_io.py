@@ -4,6 +4,7 @@ same TypeError for what json cannot encode."""
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,3 +97,38 @@ def test_int_rows_and_their_neighbours(value):
     assert fio.dumps({"row": value, "rows": [value, value]}) == json_dumps(
         {"row": value, "rows": [value, value]}
     )
+
+
+BIG_INTS = st.integers() | st.integers(-(2 ** 70), 2 ** 70)
+
+
+@st.composite
+def int_blocks(draw):
+    """A list of equal-length int rows, lists and tuples mixed, with at most
+    one flaw: a bool in a row, an empty row or one ragged row."""
+    width = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(BIG_INTS, min_size=width, max_size=width), min_size=1, max_size=6))
+    rows = [tuple(row) if draw(st.booleans()) else row for row in rows]
+    at = draw(st.integers(0, len(rows) - 1))
+    flaw = draw(st.sampled_from(["none", "bool", "empty row", "ragged row"]))
+    if flaw == "bool":
+        rows[at] = [*rows[at][:-1], draw(st.booleans())]
+    elif flaw == "empty row":
+        rows[at] = []
+    elif flaw == "ragged row":
+        rows[at] = [*rows[at], draw(BIG_INTS)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(int_blocks() | int_blocks().map(lambda rows: {"points": rows, "pairs": [rows, {"x": rows}]}))
+def test_int_blocks_and_their_neighbours(value):
+    assert outcome(fio.dumps, value) == outcome(json_dumps, value)
+
+
+@pytest.mark.parametrize("odd", [np.int64(3), 2.5], ids=["numpy int", "float"])
+def test_a_block_row_with_a_numpy_int_or_a_float(odd):
+    # json refuses the numpy int and writes the float; so does the writer
+    for value in ([[0, 1], [2, odd], (4, 5)], {"points": [(0, 1), (odd, 3)]}):
+        assert outcome(fio.dumps, value) == outcome(json_dumps, value)
+    assert outcome(fio.dumps, [[0, np.int64(1)]])[0] is TypeError

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -140,14 +142,16 @@ def least_conjugate(group, tup):
 
 
 @pytest.mark.parametrize(
-    "group,genus", [(S3, 2), (Q8, 2), (D6, 2), (S4, 1)], ids=lambda v: getattr(v, "name", v)
+    "group,genus",
+    [(S3, 2), (Q8, 2), (D6, 2), (S4, 1), (S4, 2)],
+    ids=lambda v: getattr(v, "name", v),
 )
 def test_canonical_point_matches_all_conjugators(group, genus):
     for tup in enumerate_relator_solutions(group, genus):
         assert canonical_point(group, tup) == least_conjugate(group, tup), tup
     # tuples of any length, on or off the relator
     rng = random.Random(f"{group.name}:{genus}")
-    for length in (1, 3, 5):
+    for length in (1, 2, 3, 4, 5, 6):
         for _ in range(300):
             tup = tuple(rng.randrange(group.order) for _ in range(length))
             assert canonical_point(group, tup) == least_conjugate(group, tup), tup
@@ -260,6 +264,49 @@ def test_the_middle_handle_cut_drops_only_tuples_that_are_not_least(group):
     assert all(canonical_point(group, tup) != tup for tup in dropped)
     # an abelian group fixes every pair, so nothing is cut
     assert bool(dropped) == (not group.is_abelian())
+
+
+@pytest.mark.parametrize(
+    "group,genus",
+    [(G, g) for G in (S3, Q8, D6) for g in (2, 3)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_the_cut_walk_yields_least_tuples_and_canonicalises_only_fixed_prefixes(
+    group, genus, monkeypatch
+):
+    calls = count_calls(monkeypatch, "canonical_point")
+    walk = list(enumerate_relator_solutions(group, genus, first=least_first_handles(group), _cut=True))
+    rows = group.conj.tolist()
+    # least: no conjugator gives a smaller tuple
+    assert all(min(map(operator.itemgetter(*tup), rows)) == tup for tup in walk)
+    assert len(walk) == len(set(walk)) == burnside_variety_count(group, genus)
+    identity = list(range(group.order))
+    fixers = [row for row in rows if row != identity]
+
+    @functools.lru_cache(maxsize=None)
+    def fixed(prefix):
+        """Whether a conjugator other than e fixes ``prefix``."""
+        return any(all(row[x] == x for x in prefix) for row in fixers)
+
+    called = {tup for _, tup in calls}
+    assert len(called) == len(calls)
+    # only tuples whose prefix (all but the last pair) a conjugator other
+    # than e fixes are decided by canonical_point; the others are yielded
+    # without a call
+    assert all(fixed(tup[:-2]) for tup in called)
+    unfixed = {tup for tup in walk if not fixed(tup[:-2])}
+    assert unfixed and not called & unfixed
+    assert set(walk) - unfixed <= called
+
+
+@pytest.mark.parametrize("group,genus", [(S3, 3), (D6, 2)], ids=lambda v: getattr(v, "name", v))
+def test_repvariety_still_decides_some_tuples_by_canonical_point(group, genus, monkeypatch):
+    # the benchmark's traced run divides the points of a variety by the
+    # canonical_point calls made inside repvariety (repvar.orbit_yield) and
+    # refuses a run where that reads zero
+    calls = count_calls(monkeypatch, "canonical_point")
+    repvariety(group, surface(genus))
+    assert calls
 
 
 def test_small_varieties_run_in_the_parent_at_any_worker_count(
